@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "dataset/corpus.hh"
 #include "dataset/pairs.hh"
 #include "frontend/parser.hh"
@@ -16,6 +18,7 @@
 #include "serve/encoding_cache.hh"
 #include "serve/engine.hh"
 #include "serve/latent_f16_dispatch.hh"
+#include "tensor/activations.hh"
 #include "tensor/arena.hh"
 #include "tensor/matmul_dispatch.hh"
 
@@ -326,6 +329,50 @@ BM_F16DecodeDispatch(benchmark::State& state)
     state.SetLabel(std::string("f16:") + kf.name);
 }
 BENCHMARK(BM_F16DecodeDispatch)->Arg(1)->Arg(0);
+
+/**
+ * Gate activations: a 64x48 block (a wide tree-LSTM level at the
+ * bench model's hidden size) through the vectorized kernels
+ * (arg 1 == 1) vs the per-element libm loop they replaced (arg 1 ==
+ * 0), for sigmoid (arg 0 == 0) and tanh (arg 0 == 1). Items/s is
+ * elements per second; check_bench_encode.py gates kernel/libm at
+ * tanh >= 4x and sigmoid >= 1.5x.
+ */
+void
+BM_Activation(benchmark::State& state)
+{
+    const bool is_tanh = state.range(0) == 1;
+    const bool kernel = state.range(1) == 1;
+    constexpr std::size_t kElems = 64 * 48;
+    Rng rng(11);
+    std::vector<float> in(kElems);
+    for (float& v : in)
+        v = static_cast<float>(rng.normal(0.0, 2.0));
+    std::vector<float> out(kElems);
+    for (auto _ : state) {
+        if (kernel) {
+            if (is_tanh)
+                kernels::tanhInto(in.data(), out.data(), kElems);
+            else
+                kernels::sigmoidInto(in.data(), out.data(), kElems);
+        } else if (is_tanh) {
+            for (std::size_t i = 0; i < kElems; ++i)
+                out[i] = std::tanh(in[i]);
+        } else {
+            for (std::size_t i = 0; i < kElems; ++i)
+                out[i] = 1.0f / (1.0f + std::exp(-in[i]));
+        }
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kElems));
+    state.SetLabel(std::string(is_tanh ? "tanh:" : "sigmoid:") +
+                   (kernel ? "kernel" : "libm"));
+}
+BENCHMARK(BM_Activation)
+    ->Args({0, 1})->Args({0, 0})
+    ->Args({1, 1})->Args({1, 0});
 
 /**
  * Forest batching: encoding a batch of 16 distinct realistic trees

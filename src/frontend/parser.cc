@@ -324,6 +324,15 @@ Parser::parseFunctionRest(Ast& ast, const std::string& type,
     parseBlock(ast, fn);
 }
 
+Parser::NestingGuard::NestingGuard(Parser& parser) : parser_(parser)
+{
+    if (parser_.depth_ == kMaxNestingDepth)
+        fatal("parse error at line ", parser_.peek().line, ", col ",
+              parser_.peek().col, ": nesting deeper than ",
+              kMaxNestingDepth, " levels");
+    ++parser_.depth_;
+}
+
 int
 Parser::parseBlock(Ast& ast, int parent)
 {
@@ -338,6 +347,7 @@ Parser::parseBlock(Ast& ast, int parent)
 int
 Parser::parseStatement(Ast& ast, int parent)
 {
+    NestingGuard nesting(*this);
     switch (peek().kind) {
       case TokenKind::LBrace:
         return parseBlock(ast, parent);
@@ -504,6 +514,7 @@ Parser::parseExpression(Ast& ast, int parent)
 int
 Parser::parseAssignment(Ast& ast, int parent)
 {
+    NestingGuard nesting(*this);
     int lhs = parseTernary(ast, parent);
     if (isAssignToken(peek().kind)) {
         NodeKind op = assignOpFor(advance().kind);
@@ -547,6 +558,7 @@ Parser::parseBinary(Ast& ast, int parent, int min_prec)
 int
 Parser::parseUnary(Ast& ast, int parent)
 {
+    NestingGuard nesting(*this);
     switch (peek().kind) {
       case TokenKind::Bang: {
         advance();

@@ -34,7 +34,29 @@ class Parser
      */
     Ast parseTranslationUnit();
 
+    /**
+     * Most statement, assignment and unary-operand frames the
+     * recursive descent keeps open at once (a parenthesis costs two
+     * levels, a nested statement one). Deeper input is a FatalError
+     * rather than a stack overflow; real programs stay far below it.
+     */
+    static constexpr int kMaxNestingDepth = 1000;
+
   private:
+    /** Holds one nesting level for the lifetime of a descent frame. */
+    class NestingGuard
+    {
+      public:
+        explicit NestingGuard(Parser& parser);
+        ~NestingGuard() { --parser_.depth_; }
+
+        NestingGuard(const NestingGuard&) = delete;
+        NestingGuard& operator=(const NestingGuard&) = delete;
+
+      private:
+        Parser& parser_;
+    };
+
     const Token& peek(int ahead = 0) const;
     const Token& advance();
     bool check(TokenKind kind) const;
@@ -68,6 +90,7 @@ class Parser
 
     std::vector<Token> tokens_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 /** Convenience: lex + parse in one call. */

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "base/logging.hh"
+#include "tensor/activations.hh"
 #include "tensor/arena.hh"
 
 namespace ccsa
@@ -16,25 +17,34 @@ namespace
 {
 
 /**
- * Output buffer for an op's forward value, zero-filled in both modes.
- * Outside a scope this is a plain owned tensor (exactly what the
- * taped path always allocated); inside an InferenceScope it is a
- * borrowed span bump-allocated from the thread's arena, so the op
- * performs no heap allocation at all. Every op computes through the
- * same code into this buffer, which is what makes inference results
- * bitwise-identical to the taped forward.
+ * Output buffer for an op that writes every element before reading
+ * any. Outside a scope this is a plain owned tensor (exactly what the
+ * taped path always allocated; std::vector zero-fills it); inside an
+ * InferenceScope it is an unfilled span bump-allocated from the
+ * thread's arena and wrapped as a borrowed tensor, so the op
+ * performs no heap allocation and no fill pass at all. Every op
+ * computes through the same code into this buffer, which is what
+ * makes inference results bitwise-identical to the taped forward.
  */
+Tensor
+outTensorUnfilled(int rows, int cols)
+{
+    if (InferenceScope::active())
+        return Tensor::borrowed(InferenceScope::arena().allocate(
+                                    static_cast<std::size_t>(rows) *
+                                    cols),
+                                rows, cols);
+    return Tensor(rows, cols);
+}
+
+/** Output buffer for an op that accumulates: zero-filled in both modes. */
 Tensor
 outTensor(int rows, int cols)
 {
-    if (InferenceScope::active()) {
-        const std::size_t n =
-            static_cast<std::size_t>(rows) * cols;
-        float* p = InferenceScope::arena().allocate(n);
-        std::fill(p, p + n, 0.0f);
-        return Tensor::borrowed(p, rows, cols);
-    }
-    return Tensor(rows, cols);
+    Tensor t = outTensorUnfilled(rows, cols);
+    if (t.isBorrowed())
+        t.fill(0.0f);
+    return t;
 }
 
 /** Shorthand for the per-op mode test. */
@@ -161,9 +171,9 @@ Var
 matmul(const Var& a, const Var& b)
 {
     Tensor v = outTensor(a.value().rows(), b.value().cols());
-    // matmulInto re-zeroes then accumulates: the value is computed by
-    // the same kernel call as the taped path's Tensor::matmul.
-    a.value().matmulInto(b.value(), v);
+    // One zero fill, then the same accumulating kernel call as the
+    // taped path's Tensor::matmul.
+    a.value().matmulAccumInto(b.value(), v);
     if (inferenceMode())
         return Var::noGrad(std::move(v));
     auto an = a.node();
@@ -200,13 +210,18 @@ affinePair(const Var& x, const Var& w, const Var& h, const Var& u,
         panic("affinePair: output column mismatch");
 
     Tensor v = outTensor(xv.rows(), wv.cols());
-    xv.matmulInto(wv, v);
+    xv.matmulAccumInto(wv, v);
     Tensor tmp = outTensor(hv.rows(), uv.cols());
-    hv.matmulInto(uv, tmp);
-    v += tmp; // elementwise: same order as add(matmul, matmul)
-    for (int i = 0; i < v.rows(); ++i)
-        for (int j = 0; j < v.cols(); ++j)
-            v.at(i, j) += bv.at(0, j);
+    hv.matmulAccumInto(uv, tmp);
+    // (x W + h U) + b per element: the same order as
+    // addRowBroadcast(add(matmul, matmul), bias).
+    const int cols = v.cols();
+    float* pv = v.data();
+    const float* pt = tmp.data();
+    const float* pb = bv.data();
+    for (int i = 0; i < v.rows(); ++i, pv += cols, pt += cols)
+        for (int j = 0; j < cols; ++j)
+            pv[j] = (pv[j] + pt[j]) + pb[j];
     if (inferenceMode())
         return Var::noGrad(std::move(v));
 
@@ -259,7 +274,7 @@ add(const Var& a, const Var& b)
     const Tensor& bv = b.value();
     if (!av.sameShape(bv))
         panic("Tensor::operator+: shape mismatch");
-    Tensor v = outTensor(av.rows(), av.cols());
+    Tensor v = outTensorUnfilled(av.rows(), av.cols());
     const float* pa = av.data();
     const float* pb = bv.data();
     float* dst = v.data();
@@ -288,7 +303,7 @@ sub(const Var& a, const Var& b)
     const Tensor& bv = b.value();
     if (!av.sameShape(bv))
         panic("Tensor::operator-: shape mismatch");
-    Tensor v = outTensor(av.rows(), av.cols());
+    Tensor v = outTensorUnfilled(av.rows(), av.cols());
     const float* pa = av.data();
     const float* pb = bv.data();
     float* dst = v.data();
@@ -317,7 +332,7 @@ mul(const Var& a, const Var& b)
     const Tensor& bv = b.value();
     if (!av.sameShape(bv))
         panic("Tensor::operator*: shape mismatch");
-    Tensor v = outTensor(av.rows(), av.cols());
+    Tensor v = outTensorUnfilled(av.rows(), av.cols());
     const float* pa = av.data();
     const float* pb = bv.data();
     float* dst = v.data();
@@ -343,7 +358,7 @@ Var
 scale(const Var& a, float s)
 {
     const Tensor& av = a.value();
-    Tensor v = outTensor(av.rows(), av.cols());
+    Tensor v = outTensorUnfilled(av.rows(), av.cols());
     const float* src = av.data();
     float* dst = v.data();
     for (std::size_t i = 0; i < av.size(); ++i)
@@ -365,7 +380,7 @@ addN(const std::vector<Var>& xs)
     if (xs.empty())
         panic("addN: empty operand list");
     const Tensor& first = xs[0].value();
-    Tensor v = outTensor(first.rows(), first.cols());
+    Tensor v = outTensorUnfilled(first.rows(), first.cols());
     copyInto(first, v);
     for (std::size_t i = 1; i < xs.size(); ++i)
         v += xs[i].value();
@@ -388,21 +403,19 @@ Var
 sigmoid(const Var& a)
 {
     const Tensor& av = a.value();
-    Tensor v = outTensor(av.rows(), av.cols());
-    const float* src = av.data();
-    float* dst = v.data();
-    for (std::size_t i = 0; i < av.size(); ++i)
-        dst[i] = 1.0f / (1.0f + std::exp(-src[i]));
+    Tensor v = outTensorUnfilled(av.rows(), av.cols());
+    kernels::sigmoidInto(av.data(), v.data(), av.size());
     if (inferenceMode())
         return Var::noGrad(std::move(v));
     auto an = a.node();
-    return makeOp(v, {a}, [an, v](VarNode& self) {
+    return makeOp(std::move(v), {a}, [an](VarNode& self) {
         if (!an->requiresGrad)
             return;
         an->ensureGrad();
-        for (int i = 0; i < v.rows(); ++i)
-            for (int j = 0; j < v.cols(); ++j) {
-                float y = v.at(i, j);
+        const Tensor& y_all = self.value;
+        for (int i = 0; i < y_all.rows(); ++i)
+            for (int j = 0; j < y_all.cols(); ++j) {
+                float y = y_all.at(i, j);
                 an->grad.at(i, j) += self.grad.at(i, j) * y * (1 - y);
             }
     });
@@ -412,21 +425,19 @@ Var
 tanhOp(const Var& a)
 {
     const Tensor& av = a.value();
-    Tensor v = outTensor(av.rows(), av.cols());
-    const float* src = av.data();
-    float* dst = v.data();
-    for (std::size_t i = 0; i < av.size(); ++i)
-        dst[i] = std::tanh(src[i]);
+    Tensor v = outTensorUnfilled(av.rows(), av.cols());
+    kernels::tanhInto(av.data(), v.data(), av.size());
     if (inferenceMode())
         return Var::noGrad(std::move(v));
     auto an = a.node();
-    return makeOp(v, {a}, [an, v](VarNode& self) {
+    return makeOp(std::move(v), {a}, [an](VarNode& self) {
         if (!an->requiresGrad)
             return;
         an->ensureGrad();
-        for (int i = 0; i < v.rows(); ++i)
-            for (int j = 0; j < v.cols(); ++j) {
-                float y = v.at(i, j);
+        const Tensor& y_all = self.value;
+        for (int i = 0; i < y_all.rows(); ++i)
+            for (int j = 0; j < y_all.cols(); ++j) {
+                float y = y_all.at(i, j);
                 an->grad.at(i, j) += self.grad.at(i, j) * (1 - y * y);
             }
     });
@@ -436,7 +447,7 @@ Var
 relu(const Var& a)
 {
     const Tensor& av = a.value();
-    Tensor v = outTensor(av.rows(), av.cols());
+    Tensor v = outTensorUnfilled(av.rows(), av.cols());
     const float* src = av.data();
     float* dst = v.data();
     for (std::size_t i = 0; i < av.size(); ++i)
@@ -462,7 +473,7 @@ addRowBroadcast(const Var& a, const Var& bias)
     const Tensor& bv = bias.value();
     if (bv.rows() != 1 || bv.cols() != av.cols())
         panic("Tensor::addRowBroadcast: bias must be 1x", av.cols());
-    Tensor v = outTensor(av.rows(), av.cols());
+    Tensor v = outTensorUnfilled(av.rows(), av.cols());
     for (int i = 0; i < av.rows(); ++i)
         for (int j = 0; j < av.cols(); ++j)
             v.at(i, j) = av.at(i, j) + bv.at(0, j);
@@ -489,7 +500,7 @@ concatColsOp(const Var& a, const Var& b)
     const Tensor& bv = b.value();
     if (av.rows() != bv.rows())
         panic("concatCols: row mismatch");
-    Tensor v = outTensor(av.rows(), av.cols() + bv.cols());
+    Tensor v = outTensorUnfilled(av.rows(), av.cols() + bv.cols());
     for (int i = 0; i < av.rows(); ++i) {
         for (int j = 0; j < av.cols(); ++j)
             v.at(i, j) = av.at(i, j);
@@ -521,7 +532,7 @@ Var
 gatherRows(const Var& table, std::vector<int> indices)
 {
     const Tensor& t = table.value();
-    Tensor v = outTensor(static_cast<int>(indices.size()), t.cols());
+    Tensor v = outTensorUnfilled(static_cast<int>(indices.size()), t.cols());
     for (std::size_t i = 0; i < indices.size(); ++i) {
         int r = indices[i];
         if (r < 0 || r >= t.rows())
@@ -557,7 +568,7 @@ stackRows(const std::vector<Var>& xs)
                   " vs ", cols, ")");
         total += x.value().rows();
     }
-    Tensor v = outTensor(total, cols);
+    Tensor v = outTensorUnfilled(total, cols);
     int r = 0;
     for (const auto& x : xs) {
         const Tensor& t = x.value();
@@ -624,7 +635,7 @@ rowSlice(const Var& x, int begin, int rows)
     if (begin < 0 || rows < 1 || begin + rows > t.rows())
         panic("rowSlice: [", begin, ", ", begin + rows,
               ") out of range for ", t.rows(), " rows");
-    Tensor v = outTensor(rows, t.cols());
+    Tensor v = outTensorUnfilled(rows, t.cols());
     std::copy(
         t.data() + static_cast<std::size_t>(begin) * t.cols(),
         t.data() + static_cast<std::size_t>(begin + rows) * t.cols(),
@@ -652,7 +663,7 @@ pickRows(const std::vector<Var>& sources,
     for (const auto& s : sources)
         if (s.value().cols() != cols)
             panic("pickRows: column mismatch");
-    Tensor v = outTensor(static_cast<int>(picks.size()), cols);
+    Tensor v = outTensorUnfilled(static_cast<int>(picks.size()), cols);
     for (std::size_t i = 0; i < picks.size(); ++i) {
         auto [src, row] = picks[i];
         if (src < 0 || src >= static_cast<int>(sources.size()))
@@ -725,10 +736,13 @@ segmentSum(const Var& x, std::vector<int> offsets)
 {
     const Tensor& t = x.value();
     int segs = checkSegments(offsets, t.rows());
-    Tensor v = outTensor(segs, t.cols()); // zero rows for empty segs
+    Tensor v = outTensorUnfilled(segs, t.cols());
     for (int s = 0; s < segs; ++s) {
-        if (offsets[s] == offsets[s + 1])
-            continue; // empty segment -> zero row
+        if (offsets[s] == offsets[s + 1]) {
+            for (int j = 0; j < t.cols(); ++j)
+                v.at(s, j) = 0.0f; // empty segment -> zero row
+            continue;
+        }
         // Seed from the first row, then add in ascending order: the
         // exact accumulation order of addN over the same rows.
         for (int j = 0; j < t.cols(); ++j)
@@ -757,7 +771,7 @@ segmentSum(const Var& x, std::vector<int> offsets, const Var& init)
     const Tensor& seed = init.value();
     if (seed.rows() != segs || seed.cols() != t.cols())
         panic("segmentSum: init must be ", segs, "x", t.cols());
-    Tensor v = outTensor(segs, t.cols());
+    Tensor v = outTensorUnfilled(segs, t.cols());
     copyInto(seed, v);
     for (int s = 0; s < segs; ++s)
         for (int r = offsets[s]; r < offsets[s + 1]; ++r)

@@ -611,6 +611,20 @@ TEST(Engine, CompareSourcesReportsParseFailures)
     EXPECT_LE(good.value(), 1.0);
 }
 
+TEST(Engine, DeeplyNestedSourceIsInvalidArgumentNotACrash)
+{
+    // 30,000 nested parentheses overflowed the recursive-descent
+    // parser's stack (SIGSEGV) before the nesting guard existed.
+    const std::string source = "int main() { int x = " +
+        std::string(30000, '(') + "1" + std::string(30000, ')') +
+        "; }";
+    Result<Ast> ast = Engine::parseSource(source);
+    ASSERT_FALSE(ast.isOk());
+    EXPECT_EQ(ast.status().code(), StatusCode::InvalidArgument);
+    EXPECT_NE(ast.status().message().find("nesting"),
+              std::string::npos);
+}
+
 TEST(Engine, SaveLoadRoundTripsThroughStatus)
 {
     Engine engine(tinyOptions());

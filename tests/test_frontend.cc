@@ -299,6 +299,50 @@ TEST(Parser, UnbalancedBraceFatal)
                  FatalError);
 }
 
+/** `int main() { int x = (((1))); }` with @p depth parentheses. */
+std::string
+nestedParens(int depth)
+{
+    return "int main() { int x = " + std::string(depth, '(') + "1" +
+        std::string(depth, ')') + "; }";
+}
+
+TEST(Parser, NestingGuardBoundsParenthesisDepth)
+{
+    // Each parenthesis holds an assignment and a unary frame, and the
+    // initializer itself holds one pair plus the enclosing statement.
+    const int max_parens = (Parser::kMaxNestingDepth - 3) / 2;
+    Ast ok = parseSource(nestedParens(max_parens));
+    EXPECT_EQ(ok.countKind(NodeKind::IntLiteral), 1);
+    try {
+        parseSource(nestedParens(max_parens + 1));
+        FAIL() << "expected FatalError";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                  std::string::npos);
+    }
+}
+
+TEST(Parser, NestingGuardBoundsStatementAndUnaryChains)
+{
+    const int n = Parser::kMaxNestingDepth;
+    std::string blocks = "int main() " + std::string(2 * n, '{') +
+        std::string(2 * n, '}');
+    EXPECT_THROW(parseSource(blocks), FatalError);
+    std::string negations = "int main() { int x = ";
+    for (int i = 0; i < n; ++i)
+        negations += "- ";
+    negations += "1; }";
+    EXPECT_THROW(parseSource(negations), FatalError);
+    // The guard releases its levels on the way out: a long flat
+    // sequence of shallow statements is unaffected.
+    std::string flat = "int main() {";
+    for (int i = 0; i < 2 * n; ++i)
+        flat += " { x = -(1); }";
+    flat += " }";
+    EXPECT_EQ(parseSource(flat).countKind(NodeKind::Negate), 2 * n);
+}
+
 TEST(Parser, ParseAndPrunePipeline)
 {
     Ast pruned = parseAndPrune(

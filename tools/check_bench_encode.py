@@ -3,7 +3,7 @@
 
 Reads the google-benchmark JSON written by
 
-    micro_ops --benchmark_filter='BM_EncodeLevelBatchedVsPerNode|BM_EncodeNoGradVsTaped|BM_MatmulKernel|BM_MatmulDispatch|BM_CacheHitByPrecision|BM_F16DecodeDispatch' \
+    micro_ops --benchmark_filter='BM_EncodeLevelBatchedVsPerNode|BM_EncodeNoGradVsTaped|BM_MatmulKernel|BM_MatmulDispatch|BM_CacheHitByPrecision|BM_F16DecodeDispatch|BM_Activation' \
               --benchmark_out=BENCH_encode.json --benchmark_out_format=json
 
 and fails (exit 1) when:
@@ -24,7 +24,9 @@ and fails (exit 1) when:
    1.3x, with loose never-slower floors on the other shapes;
  - the F16C fp16 decode family drops below 2x the portable
    bit-twiddling oracle — skipped (with a note) when the JSON has no
-   f16c row, i.e. the runner has no F16C.
+   f16c row, i.e. the runner has no F16C;
+ - the vectorized sigmoid/tanh kernels lose their edge over the
+   per-element libm loop they replaced (tanh 4x, sigmoid 1.5x).
 
 Floors are deliberately below the typically observed ratios
 (~3.8x bushy, ~3x ast, ~1.0x chain; ~2-4x avx2-fma) so CI noise does
@@ -73,6 +75,14 @@ NOGRAD_FLOORS = {
 # F16C decode vs portable bit-twiddling (observed ~19x; the bar is
 # the "fp16 hits stop being 3x slower than fp32" acceptance line).
 F16C_FLOOR = 2.0
+
+# Vectorized activation kernels vs the per-element libm loop on a
+# 64x48 block (observed ~15x tanh, ~2.4x sigmoid: sigmoid keeps a
+# true division per element, tanh replaces a far costlier libm call).
+ACTIVATION_FLOORS = {
+    "tanh": 4.0,
+    "sigmoid": 1.5,
+}
 
 
 def collect(data, name, split_label=False):
@@ -173,6 +183,12 @@ def main() -> int:
         # No F16C on this runner: the hardware row was skipped, and
         # the portable row alone has nothing to gate against.
         print("f16 dispatch: no f16c row, gate skipped")
+
+    act = collect(data, "BM_Activation")
+    for fn, floor in ACTIVATION_FLOORS.items():
+        ok &= bench_gate.gate_ratio(f"activation {fn:7s}",
+                                    act.get(f"{fn}:kernel"),
+                                    act.get(f"{fn}:libm"), floor)
 
     hits = collect(data, "BM_CacheHitByPrecision")
     fp32 = hits.get("cache-hit:fp32")
