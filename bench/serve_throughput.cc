@@ -4,8 +4,9 @@
  *
  *  1. N closed-loop clients calling the synchronous Engine one
  *     request at a time;
- *  2. the same clients submitting through AsyncServer futures with
- *     cross-request dynamic batching (one batcher thread);
+ *  2. the same clients submitting through futures to a one-shard
+ *     ShardedServer — cross-request dynamic batching by a single
+ *     batcher;
  *  3. the same clients on ShardedServer at 1/2/4/8 shards — N
  *     batcher workers over a partitioned encoding cache.
  *
@@ -17,7 +18,7 @@
  * anything below that means the resolution leaked into a hot loop.
  *
  * A fifth measurement gates the metrics plane: the interactive
- * workload through a bare AsyncServer vs one with the full
+ * workload through a bare one-shard server vs one with the full
  * MetricsRegistry/SloTracker/sampler stack attached. Instrumented
  * serving must stay >= 0.97x bare — recording is relaxed atomics
  * outside the server's stats mutex, so a lower ratio means metrics
@@ -33,6 +34,11 @@
  * so eviction pressure collapses as shards are added. The report
  * includes trees-encoded counts so the mechanism (not just the
  * speedup) is visible.
+ *
+ * Every row also carries the CLIENT-observed p50/p99 latency (submit
+ * -> answer seen, per request; per call for the synchronous and
+ * batched-engine rows), and the JSON records the host: CPU count,
+ * the selected matmul and fp16 kernel families, and the build type.
  *
  * Usage: ./serve_throughput [--json BENCH_serve.json]
  * (CCSA_SCALE scales requests per client; the JSON feeds
@@ -53,13 +59,18 @@
 #include "base/str.hh"
 #include "base/table.hh"
 #include "frontend/parser.hh"
-#include "serve/async_server.hh"
+#include "serve/ipc/process_sharded_server.hh"
+#include "serve/latent_f16_dispatch.hh"
 #include "serve/metrics/metrics.hh"
 #include "serve/metrics/metrics_sampler.hh"
 #include "serve/metrics/slo_tracker.hh"
-#include "serve/ipc/process_sharded_server.hh"
 #include "serve/model_registry.hh"
 #include "serve/sharded_server.hh"
+#include "tensor/matmul_dispatch.hh"
+
+#ifndef CCSA_BUILD_TYPE
+#define CCSA_BUILD_TYPE "unknown"
+#endif
 
 using namespace ccsa;
 
@@ -88,7 +99,7 @@ servingOptions()
 {
     // A cache smaller than the tree pool: the memory-pressure regime
     // where cross-request dedup (and cache sharding) pays the most.
-    // cacheCapacity is per shard, so the single-cache baselines hold
+    // cacheCapacity is per shard, so the one-shard baselines hold
     // 12 of the 48 pool trees while a 4-shard server holds all 48 at
     // the same per-shard budget — sharding converts a thrashing
     // cache into a resident one without growing any single shard.
@@ -98,6 +109,20 @@ servingOptions()
         .withSeed(42)
         .withThreads(0)
         .withCacheCapacity(12);
+}
+
+/** The single-batcher baseline: one shard whose one engine encodes
+ * on every core (servingOptions().threads), at the same
+ * per-partition cache budget as the sharded rows. */
+ShardedServer::Options
+singleBatcherOptions(std::chrono::microseconds maxBatchDelay)
+{
+    return ShardedServer::Options()
+        .withNumShards(1)
+        .withThreadsPerShard(servingOptions().threads)
+        .withQueueCapacity(1024)
+        .withMaxBatchSize(256)
+        .withMaxBatchDelay(maxBatchDelay);
 }
 
 struct WorkItem
@@ -131,43 +156,110 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
+/** Client-observed outcome of one measured run. */
+struct RunStats
+{
+    double pairsPerSec = 0.0;
+    /** Per-request (per-call) latency quantiles, ms. */
+    double p50Ms = 0.0;
+    double p99Ms = 0.0;
+    /** Trees the serving engines encoded (0 where not reported). */
+    std::uint64_t treesEncoded = 0;
+};
+
+/** Repetitions of every gated configuration: one closed-loop run on
+ * a shared multi-core host swings by tens of percent, so a gated row
+ * reports its median-throughput repetition. */
+constexpr int kReps = 5;
+
+/** The median-throughput run (its latency and encodes ride along). */
+RunStats
+medianRun(std::vector<RunStats> runs)
+{
+    std::sort(runs.begin(), runs.end(),
+              [](const RunStats& a, const RunStats& b) {
+                  return a.pairsPerSec < b.pairsPerSec;
+              });
+    return runs[runs.size() / 2];
+}
+
+/** Throughput plus nearest-rank p50/p99 of every client's latency
+ * samples (microseconds). */
+RunStats
+summarize(double requests, std::chrono::steady_clock::time_point start,
+          const std::vector<std::vector<double>>& latencyUs)
+{
+    RunStats out;
+    out.pairsPerSec = requests / secondsSince(start);
+    std::vector<double> all;
+    for (const auto& samples : latencyUs)
+        all.insert(all.end(), samples.begin(), samples.end());
+    if (all.empty())
+        return out;
+    auto quantileMs = [&all](double q) {
+        auto k = static_cast<std::size_t>(
+            q * static_cast<double>(all.size() - 1) + 0.5);
+        std::nth_element(all.begin(),
+                         all.begin() + static_cast<std::ptrdiff_t>(k),
+                         all.end());
+        return all[k] / 1000.0;
+    };
+    out.p50Ms = quantileMs(0.5);
+    out.p99Ms = quantileMs(0.99);
+    return out;
+}
+
+double
+microsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double, std::micro>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
 /** One measured configuration, also emitted as a JSON row. */
 struct BenchRow
 {
-    std::string mode; // sync|async|async_closed|sharded|ipc|
+    std::string mode; // sync|async|single_closed|sharded|ipc|
                       // engine_direct|engine_registry|
                       // tenant_solo|tenant_flood|
                       // metrics_off|metrics_on
     int clients = 0;
-    int shards = 0; // 0 for non-sharded modes
-    double pairsPerSec = 0.0;
-    std::uint64_t treesEncoded = 0;
-    /** Interactive-tenant p99 latency (tenant_* rows; 0 elsewhere). */
-    double p99Ms = 0.0;
+    int shards = 0; // 0 for unsharded modes, 1 for single-batcher
+    RunStats run;
 };
 
 /** Drive a deep-pipelining client fleet: every request is submitted
- * up front, then all futures are drained. Batches grow as large as
+ * up front, then all futures are drained in order (a request's
+ * latency is submit -> its get() returns). Batches grow as large as
  * the backlog allows — the regime where ONE batcher shines. */
 template <typename SubmitFn>
-double
+RunStats
 runPipelinedClients(int clients,
                     const std::vector<std::vector<WorkItem>>& streams,
                     const std::vector<Ast>& pool, SubmitFn submit)
 {
+    std::vector<std::vector<double>> latencyUs(
+        static_cast<std::size_t>(clients));
     auto start = std::chrono::steady_clock::now();
     std::vector<std::thread> threads;
     for (int c = 0; c < clients; ++c) {
         threads.emplace_back([&, c] {
+            const auto& stream = streams[static_cast<std::size_t>(c)];
             std::vector<std::future<Result<double>>> futures;
-            futures.reserve(streams[0].size());
-            for (const WorkItem& w :
-                 streams[static_cast<std::size_t>(c)])
+            std::vector<std::chrono::steady_clock::time_point> sent;
+            futures.reserve(stream.size());
+            sent.reserve(stream.size());
+            for (const WorkItem& w : stream) {
+                sent.push_back(std::chrono::steady_clock::now());
                 futures.push_back(submit(
                     pool[static_cast<std::size_t>(w.first)],
                     pool[static_cast<std::size_t>(w.second)]));
-            for (auto& f : futures) {
-                Result<double> r = f.get();
+            }
+            auto& samples = latencyUs[static_cast<std::size_t>(c)];
+            for (std::size_t k = 0; k < futures.size(); ++k) {
+                Result<double> r = futures[k].get();
+                samples.push_back(microsSince(sent[k]));
                 if (!r.isOk())
                     std::fprintf(stderr, "client: %s\n",
                                  r.status().toString().c_str());
@@ -176,31 +268,35 @@ runPipelinedClients(int clients,
     }
     for (std::thread& t : threads)
         t.join();
-    double total = static_cast<double>(clients) *
-        static_cast<double>(streams[0].size());
-    return total / secondsSince(start);
+    return summarize(static_cast<double>(clients) *
+                         static_cast<double>(streams[0].size()),
+                     start, latencyUs);
 }
 
 /** Drive an interactive client fleet: one outstanding request per
- * client (submit, wait, repeat). Batches are bounded by the client
- * count, so cross-request dedup can no longer mask a thrashing
- * cache — the regime sharded serving is for. */
-template <typename SubmitFn>
-double
+ * client (call, wait, repeat); `call(a, b)` blocks until the answer
+ * is in hand. Batches are bounded by the client count, so
+ * cross-request dedup can no longer mask a thrashing cache — the
+ * regime sharded serving is for. */
+template <typename CallFn>
+RunStats
 runClosedLoopClients(int clients,
                      const std::vector<std::vector<WorkItem>>& streams,
-                     const std::vector<Ast>& pool, SubmitFn submit)
+                     const std::vector<Ast>& pool, CallFn call)
 {
+    std::vector<std::vector<double>> latencyUs(
+        static_cast<std::size_t>(clients));
     auto start = std::chrono::steady_clock::now();
     std::vector<std::thread> threads;
     for (int c = 0; c < clients; ++c) {
         threads.emplace_back([&, c] {
+            auto& samples = latencyUs[static_cast<std::size_t>(c)];
             for (const WorkItem& w :
                  streams[static_cast<std::size_t>(c)]) {
-                Result<double> r =
-                    submit(pool[static_cast<std::size_t>(w.first)],
-                           pool[static_cast<std::size_t>(w.second)])
-                        .get();
+                auto sent = std::chrono::steady_clock::now();
+                auto r = call(pool[static_cast<std::size_t>(w.first)],
+                              pool[static_cast<std::size_t>(w.second)]);
+                samples.push_back(microsSince(sent));
                 if (!r.isOk())
                     std::fprintf(stderr, "client: %s\n",
                                  r.status().toString().c_str());
@@ -209,9 +305,19 @@ runClosedLoopClients(int clients,
     }
     for (std::thread& t : threads)
         t.join();
-    double total = static_cast<double>(clients) *
-        static_cast<double>(streams[0].size());
-    return total / secondsSince(start);
+    return summarize(static_cast<double>(clients) *
+                         static_cast<double>(streams[0].size()),
+                     start, latencyUs);
+}
+
+/** Blocking call through a server's submitCompare. */
+template <typename Server>
+auto
+compareVia(Server& server)
+{
+    return [&server](const Ast& a, const Ast& b) {
+        return server.submitCompare(a, b).get();
+    };
 }
 
 void
@@ -224,6 +330,13 @@ writeJson(const std::string& path, int poolSize,
         return;
     }
     std::fprintf(f, "{\n  \"bench\": \"serve_throughput\",\n");
+    std::fprintf(f,
+                 "  \"host\": {\"cpus\": %u, \"matmul_kernels\": "
+                 "\"%s\", \"f16_kernels\": \"%s\", "
+                 "\"build_type\": \"%s\"},\n",
+                 std::thread::hardware_concurrency(),
+                 kernels::activeKernelName(),
+                 kernels::activeF16KernelName(), CCSA_BUILD_TYPE);
     std::fprintf(f, "  \"pool_size\": %d,\n", poolSize);
     std::fprintf(f, "  \"requests_per_client\": %d,\n",
                  requestsPerClient);
@@ -233,11 +346,14 @@ writeJson(const std::string& path, int poolSize,
         std::fprintf(f,
                      "    {\"mode\": \"%s\", \"clients\": %d, "
                      "\"shards\": %d, \"pairs_per_sec\": %.1f, "
-                     "\"trees_encoded\": %llu, \"p99_ms\": %.3f}%s\n",
+                     "\"trees_encoded\": %llu, \"p50_ms\": %.3f, "
+                     "\"p99_ms\": %.3f}%s\n",
                      r.mode.c_str(), r.clients, r.shards,
-                     r.pairsPerSec,
-                     static_cast<unsigned long long>(r.treesEncoded),
-                     r.p99Ms, i + 1 == rows.size() ? "" : ",");
+                     r.run.pairsPerSec,
+                     static_cast<unsigned long long>(
+                         r.run.treesEncoded),
+                     r.run.p50Ms, r.run.p99Ms,
+                     i + 1 == rows.size() ? "" : ",");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
@@ -256,9 +372,13 @@ main(int argc, char** argv)
 
     std::printf("=====================================================\n");
     std::printf("ccsa bench: serve_throughput\n");
-    std::printf("sync Engine vs AsyncServer vs ShardedServer\n");
+    std::printf("sync Engine vs one-shard vs N-shard ShardedServer\n");
     std::printf("scale: CCSA_SCALE=%.2f (set >1 for longer runs)\n",
                 envScale());
+    std::printf("host: cpus=%u kernels: matmul=%s f16=%s build=%s\n",
+                std::thread::hardware_concurrency(),
+                kernels::activeKernelName(),
+                kernels::activeF16KernelName(), CCSA_BUILD_TYPE);
     std::printf("=====================================================\n");
 
     const int poolSize = 48;
@@ -279,7 +399,7 @@ main(int argc, char** argv)
     // ------------------------------------------- sync vs async sweep
     TextTable table({"clients", "sync pairs/s", "async pairs/s",
                      "speedup", "sync encodes", "async encodes",
-                     "batches", "mean batch"});
+                     "batches", "mean batch", "async p99 ms"});
     const int gateClients = 8;
 
     for (int clients : {1, 2, 4, 8}) {
@@ -287,80 +407,56 @@ main(int argc, char** argv)
         for (int c = 0; c < clients; ++c)
             streams.push_back(
                 clientStream(c, requestsPerClient, poolSize));
-        const double totalPairs =
-            static_cast<double>(clients) * requestsPerClient;
 
         // ---- synchronous: every client blocks on its own request.
-        double syncRate = 0.0;
-        std::uint64_t syncEncoded = 0;
+        RunStats sync;
         {
             Engine engine(servingOptions());
-            auto start = std::chrono::steady_clock::now();
-            std::vector<std::thread> threads;
-            for (int c = 0; c < clients; ++c) {
-                threads.emplace_back([&, c] {
-                    for (const WorkItem& w :
-                         streams[static_cast<std::size_t>(c)]) {
-                        auto p = engine.compareMany(
-                            {Engine::PairRequest{
-                                &pool[static_cast<std::size_t>(
-                                    w.first)],
-                                &pool[static_cast<std::size_t>(
-                                    w.second)]}});
-                        if (!p.isOk())
-                            std::fprintf(stderr, "sync: %s\n",
-                                         p.status()
-                                             .toString()
-                                             .c_str());
-                    }
+            sync = runClosedLoopClients(
+                clients, streams, pool,
+                [&engine](const Ast& a, const Ast& b) {
+                    return engine.compareMany(
+                        {Engine::PairRequest{&a, &b}});
                 });
-            }
-            for (std::thread& t : threads)
-                t.join();
-            syncRate = totalPairs / secondsSince(start);
-            syncEncoded = engine.stats().treesEncoded;
+            sync.treesEncoded = engine.stats().treesEncoded;
         }
-        rows.push_back(BenchRow{"sync", clients, 0, syncRate,
-                                syncEncoded});
+        rows.push_back(BenchRow{"sync", clients, 0, sync});
 
         // ---- async: one batcher coalescing across every client.
-        double asyncRate = 0.0;
-        std::uint64_t asyncEncoded = 0;
+        RunStats async;
         std::uint64_t batches = 0;
         double meanBatch = 0.0;
         {
-            Engine engine(servingOptions());
-            AsyncServer server(
-                engine, AsyncServer::Options()
-                            .withQueueCapacity(1024)
-                            .withMaxBatchSize(256)
-                            .withMaxBatchDelay(
-                                std::chrono::microseconds(1000)));
-            asyncRate = runPipelinedClients(
+            ShardedServer server(
+                servingOptions(),
+                singleBatcherOptions(std::chrono::microseconds(1000)));
+            async = runPipelinedClients(
                 clients, streams, pool,
                 [&server](const Ast& a, const Ast& b) {
                     return server.submitCompare(a, b);
                 });
-            ServerStats stats = server.stats();
-            asyncEncoded = stats.engine.treesEncoded;
+            ServerStats stats = server.stats().aggregate;
+            async.treesEncoded = stats.engine.treesEncoded;
             batches = stats.batches;
             meanBatch = stats.batchSizes.meanValue();
         }
-        rows.push_back(BenchRow{"async", clients, 0, asyncRate,
-                                asyncEncoded});
+        rows.push_back(BenchRow{"async", clients, 1, async});
 
         char speedup[32];
         std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                      asyncRate / syncRate);
+                      async.pairsPerSec / sync.pairsPerSec);
         char meanBatchStr[32];
         std::snprintf(meanBatchStr, sizeof(meanBatchStr), "%.1f",
                       meanBatch);
-        table.addRow({std::to_string(clients),
-                      std::to_string(static_cast<long>(syncRate)),
-                      std::to_string(static_cast<long>(asyncRate)),
-                      speedup, std::to_string(syncEncoded),
-                      std::to_string(asyncEncoded),
-                      std::to_string(batches), meanBatchStr});
+        char p99[32];
+        std::snprintf(p99, sizeof(p99), "%.2f", async.p99Ms);
+        table.addRow(
+            {std::to_string(clients),
+             std::to_string(static_cast<long>(sync.pairsPerSec)),
+             std::to_string(static_cast<long>(async.pairsPerSec)),
+             speedup, std::to_string(sync.treesEncoded),
+             std::to_string(async.treesEncoded), std::to_string(batches),
+             meanBatchStr, p99});
     }
 
     table.print(std::cout);
@@ -373,8 +469,8 @@ main(int argc, char** argv)
     // per client, so the giant pipelined batches above cannot form
     // and the single 12-entry cache thrashes against the 48-tree
     // pool. This is the latency-bound serving regime sharding is
-    // for; the AsyncServer row below is the single-batcher baseline
-    // under the SAME client behaviour.
+    // for; the single_closed row below is the single-batcher
+    // baseline under the SAME client behaviour.
     std::printf("\ninteractive clients (1 outstanding request each), "
                 "%d clients:\n\n",
                 gateClients);
@@ -383,63 +479,61 @@ main(int argc, char** argv)
         streams.push_back(
             clientStream(c, requestsPerClient, poolSize));
 
-    double asyncClosedRate = 0.0;
-    std::uint64_t asyncClosedEncoded = 0;
-    {
-        Engine engine(servingOptions());
-        AsyncServer server(
-            engine, AsyncServer::Options()
-                        .withQueueCapacity(1024)
-                        .withMaxBatchSize(256)
-                        .withMaxBatchDelay(
-                            std::chrono::microseconds(200)));
-        asyncClosedRate = runClosedLoopClients(
-            gateClients, streams, pool,
-            [&server](const Ast& a, const Ast& b) {
-                return server.submitCompare(a, b);
-            });
-        asyncClosedEncoded = server.stats().engine.treesEncoded;
-    }
-    rows.push_back(BenchRow{"async_closed", gateClients, 0,
-                            asyncClosedRate, asyncClosedEncoded});
-    std::printf("single batcher (AsyncServer): %ld pairs/s, %llu"
-                " trees encoded\n\n",
-                static_cast<long>(asyncClosedRate),
-                static_cast<unsigned long long>(asyncClosedEncoded));
-
-    TextTable shardTable({"shards", "pairs/s", "vs 1 batcher",
-                          "encodes", "cache resident", "p99 ms"});
-    for (int shards : {1, 2, 4, 8}) {
+    std::vector<RunStats> singleRuns;
+    for (int r = 0; r < kReps; ++r) {
         ShardedServer server(
             servingOptions(),
-            ShardedServer::Options()
-                .withNumShards(static_cast<std::size_t>(shards))
-                .withQueueCapacity(1024)
-                .withMaxBatchSize(256)
-                .withMaxBatchDelay(std::chrono::microseconds(200))
-                .withThreadsPerShard(1));
-        double rate = runClosedLoopClients(
-            gateClients, streams, pool,
-            [&server](const Ast& a, const Ast& b) {
-                return server.submitCompare(a, b);
-            });
-        ShardedServerStats stats = server.stats();
-        rows.push_back(BenchRow{"sharded", gateClients, shards, rate,
-                                stats.aggregate.engine.treesEncoded});
+            singleBatcherOptions(std::chrono::microseconds(200)));
+        singleRuns.push_back(runClosedLoopClients(
+            gateClients, streams, pool, compareVia(server)));
+        singleRuns.back().treesEncoded =
+            server.stats().aggregate.engine.treesEncoded;
+    }
+    RunStats single = medianRun(singleRuns);
+    rows.push_back(BenchRow{"single_closed", gateClients, 1, single});
+    std::printf("single batcher (one shard, multi-threaded engine; "
+                "median of %d runs): %ld pairs/s, p99 %.2f ms, %llu "
+                "trees encoded\n\n",
+                kReps, static_cast<long>(single.pairsPerSec),
+                single.p99Ms,
+                static_cast<unsigned long long>(single.treesEncoded));
 
-        char vsAsync[32];
-        std::snprintf(vsAsync, sizeof(vsAsync), "%.2fx",
-                      rate / asyncClosedRate);
-        char p99[32];
-        std::snprintf(p99, sizeof(p99), "%.2f",
-                      stats.aggregate.latencyP99Ms);
+    TextTable shardTable({"shards", "pairs/s", "vs 1 batcher",
+                          "encodes", "cache resident", "p50 ms",
+                          "p99 ms"});
+    for (int shards : {1, 2, 4, 8}) {
+        std::vector<RunStats> runs;
+        std::string resident;
+        for (int r = 0; r < kReps; ++r) {
+            ShardedServer server(
+                servingOptions(),
+                ShardedServer::Options()
+                    .withNumShards(static_cast<std::size_t>(shards))
+                    .withQueueCapacity(1024)
+                    .withMaxBatchSize(256)
+                    .withMaxBatchDelay(std::chrono::microseconds(200))
+                    .withThreadsPerShard(1));
+            runs.push_back(runClosedLoopClients(
+                gateClients, streams, pool, compareVia(server)));
+            runs.back().treesEncoded =
+                server.stats().aggregate.engine.treesEncoded;
+            resident = std::to_string(server.cache().size()) + "/" +
+                std::to_string(server.cache().numShards() *
+                               server.cache().capacityPerShard());
+        }
+        RunStats run = medianRun(runs);
+        rows.push_back(BenchRow{"sharded", gateClients, shards, run});
+
+        char vsSingle[32];
+        std::snprintf(vsSingle, sizeof(vsSingle), "%.2fx",
+                      run.pairsPerSec / single.pairsPerSec);
+        char p50[32], p99[32];
+        std::snprintf(p50, sizeof(p50), "%.2f", run.p50Ms);
+        std::snprintf(p99, sizeof(p99), "%.2f", run.p99Ms);
         shardTable.addRow(
             {std::to_string(shards),
-             std::to_string(static_cast<long>(rate)), vsAsync,
-             std::to_string(stats.aggregate.engine.treesEncoded),
-             std::to_string(server.cache().size()) + "/" +
-                 std::to_string(server.cache().numShards() *
-                                server.cache().capacityPerShard()),
+             std::to_string(static_cast<long>(run.pairsPerSec)),
+             vsSingle, std::to_string(run.treesEncoded), resident, p50,
              p99});
     }
     shardTable.print(std::cout);
@@ -471,38 +565,33 @@ main(int argc, char** argv)
         const int ipcShards = 4;
         auto model = std::make_shared<ComparativePredictor>(
             servingOptions().encoder, 42);
-        ProcessShardedServer server(
-            model, ProcessShardedServer::Options()
-                       .withNumShards(
-                           static_cast<std::size_t>(ipcShards))
-                       .withQueueCapacity(1024)
-                       .withMaxBatchSize(256)
-                       .withMaxBatchDelay(
-                           std::chrono::microseconds(200))
-                       .withCachePerWorker(
-                           static_cast<std::size_t>(poolSize)));
-        double ipcRate = runClosedLoopClients(
-            gateClients, streams, pool,
-            [&server](const Ast& a, const Ast& b) {
-                return server.submitCompare(a, b);
-            });
-        rows.push_back(
-            BenchRow{"ipc", gateClients, ipcShards, ipcRate, 0});
+        std::vector<RunStats> runs;
+        for (int r = 0; r < kReps; ++r) {
+            ProcessShardedServer server(
+                model, ProcessShardedServer::Options()
+                           .withNumShards(
+                               static_cast<std::size_t>(ipcShards))
+                           .withQueueCapacity(1024)
+                           .withMaxBatchSize(256)
+                           .withMaxBatchDelay(
+                               std::chrono::microseconds(200))
+                           .withCachePerWorker(
+                               static_cast<std::size_t>(poolSize)));
+            runs.push_back(runClosedLoopClients(
+                gateClients, streams, pool, compareVia(server)));
+        }
+        RunStats ipc = medianRun(runs);
+        rows.push_back(BenchRow{"ipc", gateClients, ipcShards, ipc});
+        double shardedRate = 1.0;
+        for (const BenchRow& r : rows)
+            if (r.mode == "sharded" && r.shards == ipcShards)
+                shardedRate = r.run.pairsPerSec;
         std::printf(
             "\nprocess-sharded serving (%d crash-isolated worker"
-            " processes):\n  ipc %10.0f pairs/s  (%.2fx in-process"
-            " sharded-%d, CI floor 0.45x)\n",
-            ipcShards, ipcRate,
-            ipcRate /
-                std::max(1.0,
-                         [&rows, ipcShards] {
-                             for (const BenchRow& r : rows)
-                                 if (r.mode == "sharded" &&
-                                     r.shards == ipcShards)
-                                     return r.pairsPerSec;
-                             return 1.0;
-                         }()),
-            ipcShards);
+            " processes):\n  ipc %10.0f pairs/s  p99 %.2f ms  (%.2fx"
+            " in-process sharded-%d, CI floor 0.45x)\n",
+            ipcShards, ipc.pairsPerSec, ipc.p99Ms,
+            ipc.pairsPerSec / shardedRate, ipcShards);
     }
 
     // ---------------------- registry overhead, single-model traffic
@@ -518,6 +607,7 @@ main(int argc, char** argv)
         std::vector<WorkItem> stream =
             clientStream(99, registryRounds * batchPairs, poolSize);
         auto runBatches = [&](Engine& engine) {
+            std::vector<std::vector<double>> latencyUs(1);
             auto start = std::chrono::steady_clock::now();
             std::size_t cursor = 0;
             for (int r = 0; r < registryRounds; ++r) {
@@ -529,49 +619,53 @@ main(int argc, char** argv)
                         {&pool[static_cast<std::size_t>(w.first)],
                          &pool[static_cast<std::size_t>(w.second)]});
                 }
+                auto sent = std::chrono::steady_clock::now();
                 auto probs = engine.compareMany(request);
+                latencyUs[0].push_back(microsSince(sent));
                 if (!probs.isOk())
                     std::fprintf(stderr, "registry bench: %s\n",
                                  probs.status().toString().c_str());
             }
-            double total = static_cast<double>(registryRounds) *
-                static_cast<double>(batchPairs);
-            return total / secondsSince(start);
+            return summarize(static_cast<double>(registryRounds) *
+                                 static_cast<double>(batchPairs),
+                             start, latencyUs);
         };
 
         auto model = std::make_shared<ComparativePredictor>(
             servingOptions().encoder, 42);
-        double directRate = 0.0, registryRate = 0.0;
-        {
-            Engine direct(model, servingOptions());
-            directRate = runBatches(direct);
-        }
-        {
+        // Interleaved repetitions: host drift hits both sides alike.
+        std::vector<RunStats> directRuns, registryRuns;
+        for (int r = 0; r < kReps; ++r) {
+            {
+                Engine engine(model, servingOptions());
+                directRuns.push_back(runBatches(engine));
+            }
             auto registry = std::make_shared<ModelRegistry>();
             registry->publish("prod", model);
-            Engine viaRegistry(registry, servingOptions());
-            registryRate = runBatches(viaRegistry);
+            Engine engine(registry, servingOptions());
+            registryRuns.push_back(runBatches(engine));
         }
-        rows.push_back(BenchRow{"engine_direct", 1, 0, directRate,
-                                0});
-        rows.push_back(BenchRow{"engine_registry", 1, 0,
-                                registryRate, 0});
+        RunStats direct = medianRun(directRuns);
+        RunStats viaRegistry = medianRun(registryRuns);
+        rows.push_back(BenchRow{"engine_direct", 1, 0, direct});
+        rows.push_back(BenchRow{"engine_registry", 1, 0, viaRegistry});
         std::printf("\nregistry overhead (single model, %d-pair "
                     "batches):\n  direct Engine   %10.0f pairs/s\n"
                     "  via registry    %10.0f pairs/s  (%.3fx, CI "
                     "floor 0.95x)\n",
-                    batchPairs, directRate, registryRate,
-                    registryRate / directRate);
+                    batchPairs, direct.pairsPerSec,
+                    viaRegistry.pairsPerSec,
+                    viaRegistry.pairsPerSec / direct.pairsPerSec);
     }
 
     // ------------------ admission control: noisy-neighbor isolation
-    // Two tenants share one AsyncServer. "fg" is an interactive
-    // closed-loop fleet; "bulk" floods quota-capped batch-class
-    // compareMany traffic from a free-running thread. The token
-    // bucket sheds the flood at submit time and the two-lane batcher
-    // flushes the interactive lane on its own deadline, so the fg
-    // p99 under flood must stay within 3x of the flood-free run
-    // (gated by tools/check_bench_serve.py).
+    // Two tenants share one single-batcher server. "fg" is an
+    // interactive closed-loop fleet; "bulk" floods quota-capped
+    // batch-class compareMany traffic from a free-running thread.
+    // The token bucket sheds the flood at submit time and the
+    // two-lane batcher flushes the interactive lane on its own
+    // deadline, so the fg clients' p99 under flood must stay within
+    // 3x of the flood-free run (gated by tools/check_bench_serve.py).
     {
         const int fgClients = 4;
         std::vector<std::vector<WorkItem>> fgStreams;
@@ -579,21 +673,16 @@ main(int argc, char** argv)
             fgStreams.push_back(
                 clientStream(200 + c, requestsPerClient, poolSize));
 
-        auto runTenantScenario = [&](bool flood, double& p99Ms,
-                                     std::uint64_t& shed) {
+        auto runTenantScenario = [&](bool flood, std::uint64_t& shed) {
             AdmissionController admission;
             // ~500 admitted flood pairs/s sustained; everything above
             // is rejected before it can touch the queue.
             admission.setQuota(
                 "bulk", AdmissionController::Quota{500.0, 32.0});
-            Engine engine(servingOptions());
-            AsyncServer server(
-                engine, AsyncServer::Options()
-                            .withQueueCapacity(1024)
-                            .withMaxBatchSize(256)
-                            .withMaxBatchDelay(
-                                std::chrono::microseconds(200))
-                            .withAdmission(&admission));
+            ShardedServer server(
+                servingOptions(),
+                singleBatcherOptions(std::chrono::microseconds(200))
+                    .withAdmission(&admission));
             std::atomic<bool> stop{false};
             std::thread flooder;
             if (flood)
@@ -619,7 +708,7 @@ main(int argc, char** argv)
                                      j)]});
                         }
                         inflight.push_back(
-                            server.submitCompareMany(bulk, pairs));
+                            server.submitCompareMany(pairs, bulk));
                         if (inflight.size() >= 8) {
                             for (auto& f : inflight)
                                 f.wait();
@@ -634,53 +723,48 @@ main(int argc, char** argv)
                     for (auto& f : inflight)
                         f.wait();
                 });
-            const SubmitOptions fg =
-                SubmitOptions().withTenant("fg");
-            double rate = runClosedLoopClients(
+            const SubmitOptions fg = SubmitOptions().withTenant("fg");
+            RunStats run = runClosedLoopClients(
                 fgClients, fgStreams, pool,
                 [&server, &fg](const Ast& a, const Ast& b) {
-                    return server.submitCompare(fg, a, b);
+                    return server.submitCompare(a, b, fg).get();
                 });
             stop.store(true, std::memory_order_relaxed);
             if (flooder.joinable())
                 flooder.join();
-            ServerStats stats = server.stats();
-            p99Ms = 0.0;
-            for (const TenantStats& t : stats.tenants)
-                if (t.tenant == "fg")
-                    p99Ms = t.latencyP99Ms;
             shed = 0;
             for (const auto& row : admission.stats())
                 if (row.tenant == "bulk")
                     shed = row.rejected;
-            return rate;
+            return run;
         };
 
-        double soloP99 = 0.0, floodP99 = 0.0;
         std::uint64_t soloShed = 0, floodShed = 0;
-        double soloRate =
-            runTenantScenario(false, soloP99, soloShed);
-        double floodRate =
-            runTenantScenario(true, floodP99, floodShed);
-        rows.push_back(BenchRow{"tenant_solo", fgClients, 0, soloRate,
-                                0, soloP99});
-        rows.push_back(BenchRow{"tenant_flood", fgClients, 0,
-                                floodRate, 0, floodP99});
+        std::vector<RunStats> soloRuns, floodRuns;
+        for (int r = 0; r < kReps; ++r) {
+            soloRuns.push_back(runTenantScenario(false, soloShed));
+            floodRuns.push_back(runTenantScenario(true, floodShed));
+        }
+        RunStats solo = medianRun(soloRuns);
+        RunStats flood = medianRun(floodRuns);
+        rows.push_back(BenchRow{"tenant_solo", fgClients, 1, solo});
+        rows.push_back(BenchRow{"tenant_flood", fgClients, 1, flood});
         std::printf(
             "\nnoisy neighbor (%d interactive clients, quota-capped"
             " bulk flood):\n  solo   p99 %7.2f ms  %8.0f pairs/s\n"
             "  flood  p99 %7.2f ms  %8.0f pairs/s  (%.2fx p99, CI"
             " ceiling 3x;\n          %llu flood requests shed by"
             " admission)\n",
-            fgClients, soloP99, soloRate, floodP99, floodRate,
-            soloP99 > 0.0 ? floodP99 / soloP99 : 0.0,
+            fgClients, solo.p99Ms, solo.pairsPerSec, flood.p99Ms,
+            flood.pairsPerSec,
+            solo.p99Ms > 0.0 ? flood.p99Ms / solo.p99Ms : 0.0,
             static_cast<unsigned long long>(floodShed));
     }
 
     // -------------------- metrics overhead: instrumented vs bare
     // The same interactive closed-loop workload through two
-    // identically configured AsyncServers: one bare, one with the
-    // full metrics plane attached (engine phase histograms,
+    // identically configured single-batcher servers: one bare, one
+    // with the full metrics plane attached (engine phase histograms,
     // per-request latency histograms, SLO tracking, and a 100 ms
     // background sampler sweeping gauges the whole run). Recording
     // is a handful of relaxed atomic adds outside the server's
@@ -696,45 +780,42 @@ main(int argc, char** argv)
             MetricsSampler sampler(
                 metrics, MetricsSampler::Options().withPeriod(
                              std::chrono::milliseconds(100)));
-            Engine engine(instrumented
-                              ? servingOptions().withMetrics(&metrics)
-                              : servingOptions());
-            AsyncServer::Options opts =
-                AsyncServer::Options()
-                    .withQueueCapacity(1024)
-                    .withMaxBatchSize(256)
-                    .withMaxBatchDelay(
-                        std::chrono::microseconds(200));
+            ShardedServer::Options opts =
+                singleBatcherOptions(std::chrono::microseconds(200));
             if (instrumented)
                 opts = opts.withMetrics(&metrics).withSlo(&slo);
-            AsyncServer server(engine, opts);
+            ShardedServer server(
+                instrumented ? servingOptions().withMetrics(&metrics)
+                             : servingOptions(),
+                opts);
             if (instrumented) {
                 sampler.addProbe(
                     [&server] { server.sampleMetrics(); });
                 sampler.addProbe([&slo] { slo.publishGauges(); });
                 sampler.start();
             }
-            double rate = runClosedLoopClients(
-                gateClients, streams, pool,
-                [&server](const Ast& a, const Ast& b) {
-                    return server.submitCompare(a, b);
-                });
+            RunStats run = runClosedLoopClients(
+                gateClients, streams, pool, compareVia(server));
             sampler.stop();
-            return rate;
+            return run;
         };
 
-        double offRate = runMetricsScenario(false);
-        double onRate = runMetricsScenario(true);
-        rows.push_back(BenchRow{"metrics_off", gateClients, 0,
-                                offRate, 0});
-        rows.push_back(BenchRow{"metrics_on", gateClients, 0, onRate,
-                                0});
+        std::vector<RunStats> offRuns, onRuns;
+        for (int r = 0; r < kReps; ++r) {
+            offRuns.push_back(runMetricsScenario(false));
+            onRuns.push_back(runMetricsScenario(true));
+        }
+        RunStats off = medianRun(offRuns);
+        RunStats on = medianRun(onRuns);
+        rows.push_back(BenchRow{"metrics_off", gateClients, 1, off});
+        rows.push_back(BenchRow{"metrics_on", gateClients, 1, on});
         std::printf(
             "\nmetrics overhead (%d interactive clients, full"
             " instrumentation):\n  metrics off %10.0f pairs/s\n"
             "  metrics on  %10.0f pairs/s  (%.3fx, CI floor"
             " 0.97x)\n",
-            gateClients, offRate, onRate, onRate / offRate);
+            gateClients, off.pairsPerSec, on.pairsPerSec,
+            on.pairsPerSec / off.pairsPerSec);
     }
 
     if (!jsonPath.empty())

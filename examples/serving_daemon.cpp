@@ -1,7 +1,8 @@
 /**
  * @file
- * Serving daemon: the shape of a production deployment of ccsa. An
- * AsyncServer wraps an Engine; concurrent client threads submit
+ * Serving daemon: the shape of a production deployment of ccsa. A
+ * one-shard ShardedServer (one batcher worker, one engine, one cache
+ * partition) serves concurrent client threads that submit
  * comparisons and ranking tournaments as futures; the batcher
  * coalesces everything in flight into shared encoding batches. On
  * exit the daemon drains cleanly and prints the ServerStats snapshot
@@ -9,7 +10,7 @@
  * latency percentiles, cache counters).
  *
  * The second half shows the next rungs of the ladder: the same
- * traffic on a ShardedServer — N batcher workers over a partitioned
+ * traffic on four shards — N batcher workers over a partitioned
  * encoding cache — with the per-shard stats rows an operator would
  * use to spot a hot shard; then multi-model serving through a
  * ModelRegistry: two problem-family models behind one sharded
@@ -58,7 +59,6 @@
 
 #include "base/rng.hh"
 #include "serve/admission/admission_controller.hh"
-#include "serve/async_server.hh"
 #include "serve/ipc/process_sharded_server.hh"
 #include "serve/metrics/metrics.hh"
 #include "serve/metrics/metrics_sampler.hh"
@@ -151,9 +151,8 @@ runIpcMode(const std::string& faultSpec,
                 Result<double> r =
                     server
                         .submitCompare(
-                            opts,
                             variants[static_cast<std::size_t>(i)],
-                            variants[static_cast<std::size_t>(j)])
+                            variants[static_cast<std::size_t>(j)], opts)
                         .get();
                 ++resolved;
                 if (r.isOk())
@@ -244,19 +243,22 @@ main(int argc, char** argv)
 
     std::printf("=== ccsa serving daemon ===\n\n");
 
-    // 1. One engine, one async front. Tuning knobs: maxBatchSize
-    //    bounds per-tick work, maxBatchDelay bounds added latency,
-    //    queueCapacity bounds memory (backpressure beyond it).
-    Engine engine(Engine::Options()
-                      .withEmbedDim(24)
-                      .withHiddenDim(32)
-                      .withThreads(0)
-                      .withCacheCapacity(4096));
-    AsyncServer server(
-        engine, AsyncServer::Options()
-                    .withQueueCapacity(512)
-                    .withMaxBatchSize(128)
-                    .withMaxBatchDelay(std::chrono::microseconds(800)));
+    // 1. One shard: one engine behind one batcher. Tuning knobs:
+    //    maxBatchSize bounds per-tick work, maxBatchDelay bounds
+    //    added latency, queueCapacity bounds memory (backpressure
+    //    beyond it); threadsPerShard(0) lets the one engine encode
+    //    on every core.
+    ShardedServer server(
+        Engine::Options()
+            .withEmbedDim(24)
+            .withHiddenDim(32)
+            .withCacheCapacity(4096),
+        ShardedServer::Options()
+            .withNumShards(1)
+            .withThreadsPerShard(0)
+            .withQueueCapacity(512)
+            .withMaxBatchSize(128)
+            .withMaxBatchDelay(std::chrono::microseconds(800)));
 
     // 2. A library of candidate implementations clients ask about.
     std::vector<Ast> variants;
@@ -322,7 +324,7 @@ main(int argc, char** argv)
 
     // 5. The operator's view.
     std::printf("\n[3/7] server stats\n");
-    ServerStats s = server.stats();
+    ServerStats s = server.stats().aggregate;
     std::printf("      queue: depth=%zu capacity=%zu\n",
                 s.queueDepth, s.queueCapacity);
     std::printf("      requests: submitted=%llu completed=%llu "
@@ -356,7 +358,7 @@ main(int argc, char** argv)
     //    workers over one queue, each with its own engine, all
     //    sharing a 4-way partitioned encoding cache (every variant's
     //    latent lives on exactly one shard). Results are bitwise
-    //    what the AsyncServer returned above.
+    //    what the one-shard server returned above.
     std::printf("\n[4/7] sharded serving (4 workers, partitioned "
                 "cache)...\n");
     ShardedServer sharded(Engine::Options()
@@ -458,9 +460,9 @@ main(int argc, char** argv)
                     ++j;
                 if (multi
                         .submitCompare(
-                            family,
                             variants[static_cast<std::size_t>(i)],
-                            variants[static_cast<std::size_t>(j)])
+                            variants[static_cast<std::size_t>(j)],
+                            SubmitOptions().withModel(family))
                         .get()
                         .isOk())
                     ++ok;
@@ -550,15 +552,15 @@ main(int argc, char** argv)
                                            /*burst=*/40.0});
     TraceRecorder trace;
     trace.attachMetrics(&metrics);
-    Engine tenantEngine(Engine::Options()
-                            .withEmbedDim(24)
-                            .withHiddenDim(32)
-                            .withThreads(0)
-                            .withCacheCapacity(4096)
-                            .withMetrics(&metrics));
-    AsyncServer tenantServer(
-        tenantEngine,
-        AsyncServer::Options()
+    ShardedServer tenantServer(
+        Engine::Options()
+            .withEmbedDim(24)
+            .withHiddenDim(32)
+            .withCacheCapacity(4096)
+            .withMetrics(&metrics),
+        ShardedServer::Options()
+            .withNumShards(1)
+            .withThreadsPerShard(0)
             .withQueueCapacity(512)
             .withMaxBatchSize(128)
             .withMaxBatchDelay(std::chrono::microseconds(200))
@@ -595,7 +597,7 @@ main(int argc, char** argv)
                      &variants[static_cast<std::size_t>(j)]});
             }
             Result<std::vector<double>> r =
-                tenantServer.submitCompareMany(bulk, pairs).get();
+                tenantServer.submitCompareMany(pairs, bulk).get();
             if (r.isOk())
                 ++okCount;
             else if (r.status().code() ==
@@ -619,8 +621,8 @@ main(int argc, char** argv)
                 ++j;
             if (tenantServer
                     .submitCompare(
-                        fg, variants[static_cast<std::size_t>(i)],
-                        variants[static_cast<std::size_t>(j)])
+                        variants[static_cast<std::size_t>(i)],
+                        variants[static_cast<std::size_t>(j)], fg)
                     .get()
                     .isOk())
                 ++okCount;
@@ -632,7 +634,7 @@ main(int argc, char** argv)
     checkoutClient.join();
     tenantServer.shutdown();
 
-    ServerStats ts = tenantServer.stats();
+    ServerStats ts = tenantServer.stats().aggregate;
     std::printf("      rejected: shed=%llu shutdown=%llu quota=%llu\n",
                 static_cast<unsigned long long>(
                     ts.requestsRejectedShed),
@@ -678,15 +680,15 @@ main(int argc, char** argv)
     //    promotion/rollback signal (see ROADMAP).
     std::printf("\n[7/7] windowed metrics + SLO burn rate (load "
                 "shift ages out of the window)...\n");
-    Engine canaryEngine(Engine::Options()
-                            .withEmbedDim(24)
-                            .withHiddenDim(32)
-                            .withThreads(0)
-                            .withCacheCapacity(4096)
-                            .withMetrics(&metrics));
-    AsyncServer canaryServer(
-        canaryEngine,
-        AsyncServer::Options()
+    ShardedServer canaryServer(
+        Engine::Options()
+            .withEmbedDim(24)
+            .withHiddenDim(32)
+            .withCacheCapacity(4096)
+            .withMetrics(&metrics),
+        ShardedServer::Options()
+            .withNumShards(1)
+            .withThreadsPerShard(0)
             .withQueueCapacity(512)
             .withMaxBatchSize(64)
             .withMaxBatchDelay(std::chrono::microseconds(100))
@@ -713,8 +715,7 @@ main(int argc, char** argv)
             pairs.push_back({&a, &b});
         }
         slowWork.push_back(
-            canaryServer.submitCompareMany(canary,
-                                           std::move(pairs)));
+            canaryServer.submitCompareMany(std::move(pairs), canary));
     }
     for (auto& f : slowWork)
         f.get();
@@ -747,7 +748,7 @@ main(int argc, char** argv)
         std::chrono::milliseconds(500);
     int fastCount = 0;
     while (std::chrono::steady_clock::now() < fastUntil) {
-        canaryServer.submitCompare(canary, variants[0], variants[1])
+        canaryServer.submitCompare(variants[0], variants[1], canary)
             .get();
         ++fastCount;
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -755,7 +756,7 @@ main(int argc, char** argv)
     canaryServer.shutdown();
 
     WindowedHistogram& canaryLat = serverLatencyHistogram(
-        metrics, "async", "model", "canary", Priority::kInteractive,
+        metrics, "sharded", "model", "canary", Priority::kInteractive,
         demoWindow);
     auto coolNow = std::chrono::steady_clock::now();
     Histogram windowHist = canaryLat.window(coolNow);

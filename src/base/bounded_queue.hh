@@ -20,9 +20,9 @@
  *  - Drain, not shed: items accepted before close() remain poppable
  *    afterwards. pop()/popFor() return them in FIFO order and only
  *    then report exhaustion (nullopt). "Accepted" is the commitment
- *    point — AsyncServer, ShardedServer, and ProcessShardedServer
- *    all promise that an accepted request's future resolves, and
- *    this queue is what makes that promise cheap to keep.
+ *    point — ShardedServer and ProcessShardedServer both promise
+ *    that an accepted request's future resolves, and this queue is
+ *    what makes that promise cheap to keep.
  *  - Shedding is the producer's job, before the commitment point:
  *    tryPush() returning Full is the only shed signal; a request
  *    rejected there was never accepted and is not owed a drain.

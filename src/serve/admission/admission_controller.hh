@@ -1,8 +1,9 @@
 /**
  * @file
  * ccsa::AdmissionController — per-tenant token-bucket quotas at the
- * serving front door. Every submit endpoint of AsyncServer and
- * ShardedServer can be gated by one of these: a request costs as
+ * serving front door. Every submit endpoint of ShardedServer and
+ * ProcessShardedServer can be gated by one of these (the charge is
+ * made once, in serve/front_end.hh): a request costs as
  * many tokens as it carries pairs, each tenant owns an independent
  * bucket (configurable sustained rate and burst), and a dry bucket
  * answers the request immediately with ResourceExhausted instead of
@@ -15,8 +16,8 @@
  * The controller also defines the request vocabulary of the
  * admission layer: Priority (interactive vs batch traffic classes,
  * consumed by the deadline-aware coalescer in serve/coalesce.hh) and
- * SubmitOptions (tenant + priority + model name) that the servers'
- * submit overloads accept.
+ * SubmitOptions (model name + tenant + priority + deadline), the
+ * optional last argument of every server submit endpoint.
  *
  * Determinism: admission never changes a result, only whether a
  * request is answered at all. Time is injectable (admitAt) so tests

@@ -1,11 +1,12 @@
 /**
  * @file
- * The pop-and-coalesce machinery shared by AsyncServer's single
- * batcher and every ShardedServer worker. Exactly one implementation
- * exists of the subtle part — how long a batcher waits for more work
- * before executing. Since the admission-control layer that wait is
- * PRIORITY-AWARE: a Coalescer keeps a two-lane pending set inside
- * the tick, and the flush policy treats the lanes differently:
+ * The pop-and-coalesce machinery every batcher shares: each
+ * ShardedServer worker thread and each ProcessShardedServer shard
+ * dispatcher. Exactly one implementation exists of the subtle part
+ * — how long a batcher waits for more work before executing. The
+ * wait is PRIORITY-AWARE: a Coalescer keeps a two-lane pending set
+ * inside the tick, and the flush policy treats the lanes
+ * differently:
  *
  *  - pairCount reaching maxBatchSize flushes everything — a full
  *    batch is a full batch, whoever filled it;
@@ -137,20 +138,18 @@ groupBatchByModel(const CoalescedBatch<Request>& batch)
  * Request::deadline at admission) expired by `now`: each expired
  * member completes with Status::DeadlineExceeded and the batch
  * shrinks in place, so an expired request is never encoded. Shared
- * by every batcher flavour (AsyncServer, ShardedServer worker,
- * ProcessShardedServer dispatcher) so "deadline bounds queue wait,
- * not execution" is implemented — and testable — exactly once.
- * `onExpired(request)` runs before each expired member's completion
- * — the hook where a server attributes the rejection to its
- * counters (servers that count inside a completion wrapper pass a
- * no-op).
+ * by every batcher (ShardedServer worker, ProcessShardedServer
+ * dispatcher) so "deadline bounds queue wait, not execution" is
+ * implemented — and testable — exactly once. The rejection is
+ * attributed by the member's completion (serve/front_end.hh counts
+ * DeadlineExceeded as requestsRejectedDeadline).
  * @return the number of members expired.
  */
-template <typename Request, typename OnExpired>
+template <typename Request>
 std::size_t
 expireDeadlines(CoalescedBatch<Request>& batch,
                 std::chrono::steady_clock::time_point now,
-                const char* server, OnExpired onExpired)
+                const char* server)
 {
     std::size_t kept = 0;
     std::size_t expired = 0;
@@ -159,7 +158,6 @@ expireDeadlines(CoalescedBatch<Request>& batch,
         if (r.deadline <= now) {
             batch.pairCount -= r.pairs.size();
             ++expired;
-            onExpired(r);
             r.complete(Status::deadlineExceeded(
                 std::string(server) +
                 ": deadline expired while queued"));
@@ -186,10 +184,12 @@ class Coalescer
   public:
     /**
      * @param interactiveDelay flush budget of the interactive lane
-     *   (AsyncServer::Options::maxBatchDelay);
-     * @param batchDelay flush budget of the batch lane — clamped up
-     *   to interactiveDelay so batch traffic never flushes EARLIER
-     *   than interactive traffic.
+     *   (the servers' Options::maxBatchDelay);
+     * @param batchDelay flush budget of the batch lane
+     *   (Options::maxBatchClassDelay): <= 0 means 8 x interactiveDelay,
+     *   and anything shorter than interactiveDelay is clamped up to
+     *   it so batch traffic never flushes EARLIER than interactive
+     *   traffic.
      */
     Coalescer(BoundedQueue<Request>& queue, std::size_t maxBatchSize,
               std::chrono::microseconds interactiveDelay,
@@ -197,7 +197,8 @@ class Coalescer
         : queue_(queue),
           maxBatchSize_(maxBatchSize == 0 ? 1 : maxBatchSize),
           interactiveDelay_(interactiveDelay),
-          batchDelay_(batchDelay < interactiveDelay
+          batchDelay_(batchDelay.count() <= 0 ? interactiveDelay * 8
+                      : batchDelay < interactiveDelay
                           ? interactiveDelay
                           : batchDelay)
     {

@@ -363,8 +363,9 @@ class Engine
     /**
      * Aggregate round-robin probabilities (as produced by
      * compareMany() over tournamentPairs()) into a best-first
-     * ranking. Deterministic and shared with AsyncServer, so async
-     * rankings are bitwise-identical to rank(). `probs` must hold
+     * ranking. Deterministic and shared with the serving front end
+     * (serve/front_end.hh), so served rankings are bitwise-identical
+     * to rank(). `probs` must hold
      * n * (n - 1) entries.
      */
     static std::vector<RankedCandidate>

@@ -70,7 +70,8 @@ defaultWorkerBinary()
 
 ProcessShardedServer::ProcessShardedServer(
     std::shared_ptr<ComparativePredictor> model, Options opts)
-    : opts_(normalized(opts))
+    : opts_(normalized(opts)), shards_(makeShards(opts_)),
+      front_(frontEndConfig())
 {
     // One ModelVersion tags every request (labels, grouping); the
     // actual scoring model lives in the worker processes, which load
@@ -101,13 +102,6 @@ ProcessShardedServer::ProcessShardedServer(
               saved.message());
     }
 
-    shards_.reserve(opts_.numShards);
-    for (std::size_t s = 0; s < opts_.numShards; ++s) {
-        auto shard = std::make_unique<Shard>();
-        shard->queue = std::make_unique<BoundedQueue<Request>>(
-            opts_.queueCapacity);
-        shards_.push_back(std::move(shard));
-    }
     initMetrics();
     if (!opts_.startPaused)
         start();
@@ -120,12 +114,49 @@ ProcessShardedServer::~ProcessShardedServer()
         ::unlink(checkpoint_.c_str());
 }
 
+std::vector<std::unique_ptr<ProcessShardedServer::Shard>>
+ProcessShardedServer::makeShards(const Options& opts)
+{
+    std::vector<std::unique_ptr<Shard>> shards;
+    shards.reserve(opts.numShards);
+    for (std::size_t s = 0; s < opts.numShards; ++s) {
+        shards.push_back(std::make_unique<Shard>());
+        shards.back()->queue =
+            std::make_unique<ServeQueue>(opts.queueCapacity);
+    }
+    return shards;
+}
+
+FrontEnd::Config
+ProcessShardedServer::frontEndConfig()
+{
+    FrontEnd::Config config;
+    config.name = "ProcessShardedServer";
+    config.metricsLabel = "ipc";
+    config.partitions = shards_.size();
+    for (const auto& shard : shards_)
+        config.queues.push_back(shard->queue.get());
+    // Single-model server: there is no registry to resolve names
+    // against (the model already shipped to the workers at spawn).
+    config.resolve = [this](const std::string& name)
+        -> Result<std::shared_ptr<const ModelVersion>> {
+        if (!name.empty() && name != version_->name)
+            return Status::invalidArgument(
+                "ProcessShardedServer serves a single model; unknown "
+                "model \"" + name + "\"");
+        return version_;
+    };
+    config.admission = opts_.admission;
+    config.metrics = opts_.metrics;
+    config.metricsWindow = opts_.metricsWindow;
+    return config;
+}
+
 void
 ProcessShardedServer::initMetrics()
 {
     if (opts_.metrics == nullptr)
         return;
-    metrics_.init(*opts_.metrics, "ipc");
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         MetricLabels labels{{"server", "ipc"},
                             {"shard", std::to_string(s)}};
@@ -155,14 +186,6 @@ ProcessShardedServer::workerBinary()
                                                  : opts_.workerPath;
     }
     return workerBinary_;
-}
-
-std::chrono::microseconds
-ProcessShardedServer::batchClassDelay() const
-{
-    if (opts_.maxBatchClassDelay.count() > 0)
-        return opts_.maxBatchClassDelay;
-    return opts_.maxBatchDelay * 8;
 }
 
 void
@@ -255,295 +278,28 @@ ProcessShardedServer::isShutdown() const
 
 // ---------------------------------------------------------- submit
 
-std::vector<std::pair<std::size_t, ProcessShardedServer::Request>>
-ProcessShardedServer::splitRequest(
-    std::vector<Engine::PairRequest> pairs,
-    std::function<void(Result<std::vector<double>>)> complete,
-    const SubmitOptions& submitOpts,
-    std::chrono::steady_clock::time_point submitStart)
-{
-    auto now = std::chrono::steady_clock::now();
-    auto stamp = [&](Request& request) {
-        request.version = version_;
-        request.priority = submitOpts.priority;
-        request.tenant = submitOpts.tenant;
-        request.submitted = submitStart;
-        request.enqueued = now;
-        if (submitOpts.deadline.count() > 0)
-            request.deadline = submitStart + submitOpts.deadline;
-    };
-    std::vector<std::pair<std::size_t, Request>> out;
-
-    // Digest routing as in ShardedServer::splitRequest — but here it
-    // is LOAD-BEARING, not advisory: each worker process owns its
-    // partition's encoding cache in a separate address space, so a
-    // slice must land on the process that owns its first trees.
-    std::vector<std::vector<std::size_t>> groups(shards_.size());
-    if (shards_.size() == 1) {
-        Request request;
-        request.pairs = std::move(pairs);
-        request.complete = std::move(complete);
-        stamp(request);
-        out.emplace_back(0, std::move(request));
-        return out;
-    }
-    std::unordered_map<const Ast*, std::size_t> shardOfTree;
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-        auto [it, inserted] = shardOfTree.emplace(pairs[i].first, 0);
-        if (inserted)
-            it->second = ShardedEncodingCache::shardOf(
-                digestAst(*pairs[i].first), shards_.size());
-        groups[it->second].push_back(i);
-    }
-    std::size_t nonEmpty = 0;
-    std::size_t lastShard = 0;
-    for (std::size_t s = 0; s < groups.size(); ++s) {
-        if (!groups[s].empty()) {
-            nonEmpty++;
-            lastShard = s;
-        }
-    }
-
-    if (nonEmpty == 1) {
-        Request request;
-        request.pairs = std::move(pairs);
-        request.complete = std::move(complete);
-        stamp(request);
-        out.emplace_back(lastShard, std::move(request));
-        return out;
-    }
-
-    auto join = std::make_shared<JoinState>();
-    join->values.resize(pairs.size(), 0.0);
-    join->remaining = nonEmpty;
-    join->complete = std::move(complete);
-
-    for (std::size_t s = 0; s < groups.size(); ++s) {
-        const std::vector<std::size_t>& slots = groups[s];
-        if (slots.empty())
-            continue;
-        Request request;
-        request.pairs.reserve(slots.size());
-        for (std::size_t i : slots)
-            request.pairs.push_back(pairs[i]);
-        stamp(request);
-        request.complete =
-            [join, slots](Result<std::vector<double>> r) {
-                bool done = false;
-                {
-                    std::lock_guard<std::mutex> lock(join->mutex);
-                    if (r.isOk()) {
-                        for (std::size_t k = 0; k < slots.size();
-                             ++k)
-                            join->values[slots[k]] = r.value()[k];
-                    } else if (join->error.isOk()) {
-                        join->error = r.status();
-                    }
-                    done = --join->remaining == 0;
-                }
-                if (done) {
-                    if (join->error.isOk())
-                        join->complete(std::move(join->values));
-                    else
-                        join->complete(join->error);
-                }
-            };
-        out.emplace_back(s, std::move(request));
-    }
-    return out;
-}
-
-bool
-ProcessShardedServer::submitCore(
-    const SubmitOptions& submitOpts,
-    std::vector<Engine::PairRequest> pairs,
-    std::function<void(Result<std::vector<double>>)> complete)
-{
-    auto submitStart = std::chrono::steady_clock::now();
-
-    // Same completion-side attribution as ShardedServer::submitCore:
-    // deadline expiries are attributed rejections, everything else
-    // completes or fails, and a door-rejected request raises the tag
-    // so outcome counters stay disjoint.
-    auto rejectedTag = std::make_shared<std::atomic<bool>>(false);
-    auto counted =
-        [this, rejectedTag, tenant = submitOpts.tenant,
-         complete = std::move(complete)](
-            Result<std::vector<double>> r) {
-            if (!rejectedTag->load()) {
-                bool deadline = !r.isOk() &&
-                    r.status().code() ==
-                        StatusCode::DeadlineExceeded;
-                if (metrics_.enabled())
-                    (r.isOk()          ? metrics_.completed
-                         : deadline    ? metrics_.rejectedDeadline
-                                       : metrics_.failed)
-                        ->inc();
-                std::lock_guard<std::mutex> lock(submitMutex_);
-                if (r.isOk()) {
-                    completed_++;
-                    tenants_[tenant].completed++;
-                } else if (deadline) {
-                    rejectedDeadline_++;
-                    tenants_[tenant].rejectedDeadline++;
-                } else {
-                    failed_++;
-                    tenants_[tenant].failed++;
-                }
-            }
-            complete(std::move(r));
-        };
-
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-        if (pairs[i].first == nullptr || pairs[i].second == nullptr) {
-            counted(Status::invalidArgument(
-                "submit: null tree in pair " + std::to_string(i)));
-            return true;
-        }
-    }
-    if (pairs.empty()) {
-        counted(std::vector<double>{});
-        return true;
-    }
-    // Single-model server: there is no registry to resolve names
-    // against (the model already shipped to the workers at spawn).
-    if (!submitOpts.model.empty() &&
-        submitOpts.model != version_->name) {
-        counted(Status::invalidArgument(
-            "ProcessShardedServer serves a single model; unknown "
-            "model \"" + submitOpts.model + "\""));
-        return true;
-    }
-
-    if (opts_.admission != nullptr) {
-        Status admitted =
-            opts_.admission->admit(submitOpts.tenant, pairs.size());
-        if (!admitted.isOk()) {
-            if (metrics_.enabled())
-                metrics_.rejectedQuota->inc();
-            {
-                std::lock_guard<std::mutex> lock(submitMutex_);
-                rejectedQuota_++;
-                tenants_[submitOpts.tenant].rejectedQuota++;
-            }
-            rejectedTag->store(true);
-            counted(admitted);
-            return true;
-        }
-    }
-
-    std::vector<std::pair<std::size_t, Request>> slices =
-        splitRequest(std::move(pairs), std::move(counted),
-                     submitOpts, submitStart);
-
-    bool anyClosed = false;
-    for (auto& [shard, request] : slices) {
-        if (shards_[shard]->queue->push(std::move(request)) ==
-            QueuePush::Closed) {
-            if (!anyClosed) {
-                if (metrics_.enabled())
-                    metrics_.rejectedShutdown->inc();
-                std::lock_guard<std::mutex> lock(submitMutex_);
-                rejectedShutdown_++;
-            }
-            anyClosed = true;
-            rejectedTag->store(true);
-            // push leaves the item untouched on rejection; resolve
-            // the slice so a join still fans in correctly.
-            request.complete(Status::unavailable(
-                "ProcessShardedServer: submit after shutdown"));
-        }
-    }
-    if (!anyClosed) {
-        if (metrics_.enabled())
-            metrics_.submitted->inc();
-        std::lock_guard<std::mutex> lock(submitMutex_);
-        submitted_++;
-        tenants_[submitOpts.tenant].submitted++;
-    }
-    return true;
-}
-
 std::future<Result<double>>
-ProcessShardedServer::submitCompare(const Ast& first,
-                                    const Ast& second)
+ProcessShardedServer::submitCompare(const Ast& first, const Ast& second,
+                                    const SubmitOptions& submitOpts)
 {
-    return submitCompare(SubmitOptions(), first, second);
-}
-
-std::future<Result<double>>
-ProcessShardedServer::submitCompare(const SubmitOptions& submitOpts,
-                                    const Ast& first,
-                                    const Ast& second)
-{
-    auto promise = std::make_shared<std::promise<Result<double>>>();
-    std::future<Result<double>> future = promise->get_future();
-    submitCore(submitOpts, {Engine::PairRequest{&first, &second}},
-               [promise](Result<std::vector<double>> r) {
-                   if (r.isOk())
-                       promise->set_value(r.value()[0]);
-                   else
-                       promise->set_value(r.status());
-               });
-    return future;
+    return *front_.compare(first, second, submitOpts,
+                           /*blocking=*/true);
 }
 
 std::future<Result<std::vector<double>>>
 ProcessShardedServer::submitCompareMany(
-    std::vector<Engine::PairRequest> pairs)
+    std::vector<Engine::PairRequest> pairs,
+    const SubmitOptions& submitOpts)
 {
-    return submitCompareMany(SubmitOptions(), std::move(pairs));
-}
-
-std::future<Result<std::vector<double>>>
-ProcessShardedServer::submitCompareMany(
-    const SubmitOptions& submitOpts,
-    std::vector<Engine::PairRequest> pairs)
-{
-    auto promise = std::make_shared<
-        std::promise<Result<std::vector<double>>>>();
-    std::future<Result<std::vector<double>>> future =
-        promise->get_future();
-    submitCore(submitOpts, std::move(pairs),
-               [promise](Result<std::vector<double>> r) {
-                   promise->set_value(std::move(r));
-               });
-    return future;
+    return *front_.compareMany(std::move(pairs), submitOpts,
+                               /*blocking=*/true);
 }
 
 std::future<Result<std::vector<Engine::RankedCandidate>>>
-ProcessShardedServer::submitRank(std::vector<const Ast*> candidates)
+ProcessShardedServer::submitRank(std::vector<const Ast*> candidates,
+                                 const SubmitOptions& submitOpts)
 {
-    return submitRank(SubmitOptions(), std::move(candidates));
-}
-
-std::future<Result<std::vector<Engine::RankedCandidate>>>
-ProcessShardedServer::submitRank(const SubmitOptions& submitOpts,
-                                 std::vector<const Ast*> candidates)
-{
-    auto promise = std::make_shared<
-        std::promise<Result<std::vector<Engine::RankedCandidate>>>>();
-    std::future<Result<std::vector<Engine::RankedCandidate>>> future =
-        promise->get_future();
-    if (candidates.size() < 2) {
-        promise->set_value(Status::invalidArgument(
-            "submitRank: need at least two candidates"));
-        if (metrics_.enabled())
-            metrics_.failed->inc();
-        std::lock_guard<std::mutex> lock(submitMutex_);
-        failed_++;
-        return future;
-    }
-    std::size_t n = candidates.size();
-    submitCore(submitOpts, Engine::tournamentPairs(candidates),
-               [promise, n](Result<std::vector<double>> r) {
-                   if (r.isOk())
-                       promise->set_value(Engine::aggregateTournament(
-                           n, r.value()));
-                   else
-                       promise->set_value(r.status());
-               });
-    return future;
+    return front_.rank(std::move(candidates), submitOpts);
 }
 
 // ------------------------------------------------------ dispatcher
@@ -552,16 +308,15 @@ void
 ProcessShardedServer::dispatcherLoop(std::size_t s)
 {
     Shard& shard = *shards_[s];
-    Coalescer<Request> coalescer(*shard.queue, opts_.maxBatchSize,
-                                 opts_.maxBatchDelay,
-                                 batchClassDelay());
+    Coalescer<ServeRequest> coalescer(*shard.queue, opts_.maxBatchSize,
+                                      opts_.maxBatchDelay,
+                                      opts_.maxBatchClassDelay);
     for (;;) {
-        std::optional<CoalescedBatch<Request>> batch =
-            coalescer.next();
+        std::optional<ServeBatch> batch = coalescer.next();
         if (!batch)
             return;
         expireDeadlines(*batch, std::chrono::steady_clock::now(),
-                        "ProcessShardedServer", [](const Request&) {});
+                        "ProcessShardedServer");
         if (batch->requests.empty())
             continue;
         serveBatch(s, *batch);
@@ -569,16 +324,14 @@ ProcessShardedServer::dispatcherLoop(std::size_t s)
 }
 
 void
-ProcessShardedServer::failBatch(CoalescedBatch<Request>& batch,
-                                const Status& status)
+ProcessShardedServer::failBatch(ServeBatch& batch, const Status& status)
 {
-    for (Request& r : batch.requests)
+    for (ServeRequest& r : batch.requests)
         r.complete(status);
 }
 
 void
-ProcessShardedServer::serveBatch(std::size_t s,
-                                 CoalescedBatch<Request>& batch)
+ProcessShardedServer::serveBatch(std::size_t s, ServeBatch& batch)
 {
     Shard& shard = *shards_[s];
     std::vector<Engine::PairRequest> flat = batch.flattenPairs();
@@ -763,38 +516,12 @@ ProcessShardedServer::serveBatch(std::size_t s,
 }
 
 void
-ProcessShardedServer::completeBatch(std::size_t s,
-                                    CoalescedBatch<Request>& batch,
+ProcessShardedServer::completeBatch(std::size_t s, ServeBatch& batch,
                                     const std::vector<double>& probs)
 {
-    Shard& shard = *shards_[s];
-    auto completedAt = std::chrono::steady_clock::now();
-    if (metrics_.enabled()) {
-        metrics_.batches->inc();
-        metrics_.batchPairs->inc(batch.pairCount);
-    }
-    {
-        std::lock_guard<std::mutex> lock(shard.statsMutex);
-        shard.batches++;
-        shard.pairsServed += batch.pairCount;
-        shard.batchSizes.add(batch.pairCount);
-        for (const Request& r : batch.requests) {
-            std::size_t us =
-                latencySampleUs(completedAt - r.enqueued);
-            shard.latencyUs.add(us);
-            shard.tenantLatencyUs[r.tenant].add(us);
-        }
-    }
-    for (const Request& r : batch.requests) {
-        std::size_t us = latencySampleUs(completedAt - r.enqueued);
-        if (metrics_.enabled())
-            serverLatencyHistogram(*opts_.metrics, "ipc",
-                                   r.version->name, r.tenant,
-                                   r.priority, opts_.metricsWindow)
-                .add(us, completedAt);
-    }
+    front_.recordBatch(shards_[s]->counters, batch);
     std::size_t off = 0;
-    for (Request& r : batch.requests) {
+    for (ServeRequest& r : batch.requests) {
         auto begin =
             probs.begin() + static_cast<std::ptrdiff_t>(off);
         r.complete(std::vector<double>(
@@ -1135,28 +862,7 @@ ProcessShardedServer::stats() const
     std::size_t queueCapacity = 0;
     for (const auto& shardPtr : shards_) {
         const Shard& shard = *shardPtr;
-        ServerStats row;
-        {
-            std::lock_guard<std::mutex> lock(shard.statsMutex);
-            row.batches = shard.batches;
-            row.pairsServed = shard.pairsServed;
-            row.batchSizes = shard.batchSizes;
-            row.latencyUs = shard.latencyUs;
-            row.tenants.reserve(shard.tenantLatencyUs.size());
-            for (const auto& [name, hist] : shard.tenantLatencyUs) {
-                TenantStats t;
-                t.tenant = name;
-                t.latencyUs = hist;
-                row.tenants.push_back(std::move(t));
-            }
-        }
-        std::sort(row.tenants.begin(), row.tenants.end(),
-                  [](const TenantStats& a, const TenantStats& b) {
-                      return a.tenant < b.tenant;
-                  });
-        for (TenantStats& t : row.tenants)
-            fillTenantPercentiles(t);
-        fillLatencyPercentiles(row);
+        ServerStats row = shard.counters.row();
         row.queueDepth = shard.queue->size();
         row.queueCapacity = shard.queue->capacity();
         queueDepth += row.queueDepth;
@@ -1180,42 +886,7 @@ ProcessShardedServer::stats() const
     out.aggregate.engine = Engine::Stats{};
     out.aggregate.queueDepth = queueDepth;
     out.aggregate.queueCapacity = queueCapacity;
-    {
-        std::lock_guard<std::mutex> lock(submitMutex_);
-        out.aggregate.requestsSubmitted = submitted_;
-        out.aggregate.requestsRejectedShed = rejectedShed_;
-        out.aggregate.requestsRejectedShutdown = rejectedShutdown_;
-        out.aggregate.requestsRejectedQuota = rejectedQuota_;
-        out.aggregate.requestsRejectedDeadline = rejectedDeadline_;
-        out.aggregate.requestsRejected = rejectedShed_ +
-            rejectedShutdown_ + rejectedQuota_ + rejectedDeadline_;
-        out.aggregate.requestsCompleted = completed_;
-        out.aggregate.requestsFailed = failed_;
-        for (const auto& [name, counters] : tenants_) {
-            TenantStats* row = nullptr;
-            for (TenantStats& t : out.aggregate.tenants)
-                if (t.tenant == name) {
-                    row = &t;
-                    break;
-                }
-            if (row == nullptr) {
-                TenantStats t;
-                t.tenant = name;
-                out.aggregate.tenants.push_back(std::move(t));
-                row = &out.aggregate.tenants.back();
-            }
-            row->submitted = counters.submitted;
-            row->completed = counters.completed;
-            row->failed = counters.failed;
-            row->rejectedQuota = counters.rejectedQuota;
-            row->rejectedDeadline = counters.rejectedDeadline;
-        }
-    }
-    std::sort(out.aggregate.tenants.begin(),
-              out.aggregate.tenants.end(),
-              [](const TenantStats& a, const TenantStats& b) {
-                  return a.tenant < b.tenant;
-              });
+    front_.fillRequestStats(out.aggregate);
     return out;
 }
 

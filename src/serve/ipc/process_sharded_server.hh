@@ -14,13 +14,15 @@
  *    construction; every worker loads it at exec (float32 checkpoint
  *    round-trips are bitwise-exact, so cross-process results stay
  *    bitwise-identical to a local Engine on the same weights).
- *  - Requests route by structural digest exactly as ShardedServer
- *    (shard = digest.lo % numShards on each pair's first tree),
- *    split/join included — but here routing is CORRECTNESS-adjacent,
- *    not just an optimisation: each worker process owns its
- *    partition's encoding cache in its own address space
- *    (partition-per-process), so each shard has its own request
- *    queue + dispatcher instead of one work-stealing queue.
+ *  - The request side — validation, admission, digest split/join,
+ *    outcome accounting — is serve/front_end.hh, shared with
+ *    ShardedServer (shard = digest.lo % numShards on each pair's
+ *    first tree). Here routing is CORRECTNESS-adjacent, not just an
+ *    optimisation: each worker process owns its partition's
+ *    encoding cache in its own address space (partition-per-
+ *    process), so each shard has its own request queue + dispatcher
+ *    instead of one work-stealing queue, and there is no
+ *    all-or-nothing trySubmit across those queues.
  *  - Each dispatcher serves a coalesced batch in two phases: an
  *    ENCODE RPC (idempotent — latents are a pure function of the
  *    trees — so it is retried on a freshly respawned worker, up to
@@ -63,8 +65,9 @@
  *
  * Single-model by design: multi-model registry serving stays
  * in-process (ShardedServer); this server trades that flexibility
- * for fault isolation. Submit with a non-empty model name fails
- * InvalidArgument.
+ * for fault isolation. A SubmitOptions model name other than ""
+ * or "model" fails InvalidArgument, after the admission charge —
+ * the same order ShardedServer answers an unknown name in.
  */
 
 #ifndef CCSA_SERVE_IPC_PROCESS_SHARDED_SERVER_HH
@@ -76,26 +79,21 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include <sys/types.h>
 
-#include "base/bounded_queue.hh"
 #include "base/fd_util.hh"
 #include "base/result.hh"
-#include "base/stats.hh"
 #include "serve/admission/admission_controller.hh"
-#include "serve/coalesce.hh"
 #include "serve/engine.hh"
+#include "serve/front_end.hh"
 #include "serve/ipc/fault_injector.hh"
 #include "serve/ipc/wire.hh"
 #include "serve/server_stats.hh"
@@ -338,26 +336,18 @@ class ProcessShardedServer
     ProcessShardedServer&
     operator=(const ProcessShardedServer&) = delete;
 
-    /** Same submit contracts as ShardedServer (blocking endpoints;
-     * results bitwise-identical to a sync Engine on the same
+    /** Same submit contracts as ShardedServer's blocking endpoints
+     * (results bitwise-identical to a sync Engine on the same
      * weights while the serving shard is healthy). */
-    std::future<Result<double>> submitCompare(const Ast& first,
-                                              const Ast& second);
-    std::future<Result<double>> submitCompare(
-        const SubmitOptions& submitOpts, const Ast& first,
-        const Ast& second);
-
+    std::future<Result<double>>
+    submitCompare(const Ast& first, const Ast& second,
+                  const SubmitOptions& submitOpts = SubmitOptions());
     std::future<Result<std::vector<double>>>
-    submitCompareMany(std::vector<Engine::PairRequest> pairs);
-    std::future<Result<std::vector<double>>>
-    submitCompareMany(const SubmitOptions& submitOpts,
-                      std::vector<Engine::PairRequest> pairs);
-
+    submitCompareMany(std::vector<Engine::PairRequest> pairs,
+                      const SubmitOptions& submitOpts = SubmitOptions());
     std::future<Result<std::vector<Engine::RankedCandidate>>>
-    submitRank(std::vector<const Ast*> candidates);
-    std::future<Result<std::vector<Engine::RankedCandidate>>>
-    submitRank(const SubmitOptions& submitOpts,
-               std::vector<const Ast*> candidates);
+    submitRank(std::vector<const Ast*> candidates,
+               const SubmitOptions& submitOpts = SubmitOptions());
 
     /** Spawn workers + dispatchers if construction was paused. */
     void start();
@@ -386,33 +376,6 @@ class ProcessShardedServer
     const std::string& checkpointPath() const { return checkpoint_; }
 
   private:
-    /** One queued unit: a per-shard slice (ShardedServer::Request
-     * shape, so serve/coalesce.hh drives the dispatcher). */
-    struct Request
-    {
-        std::vector<Engine::PairRequest> pairs;
-        std::shared_ptr<const ModelVersion> version;
-        std::function<void(Result<std::vector<double>>)> complete;
-        Priority priority = Priority::kInteractive;
-        std::string tenant;
-        std::uint64_t traceId = 0;
-        std::chrono::steady_clock::time_point submitted;
-        std::chrono::steady_clock::time_point enqueued;
-        std::chrono::steady_clock::time_point dequeued;
-        std::chrono::steady_clock::time_point deadline =
-            std::chrono::steady_clock::time_point::max();
-    };
-
-    /** Fan-in for a request split across shards. */
-    struct JoinState
-    {
-        std::mutex mutex;
-        std::vector<double> values;
-        Status error;
-        std::size_t remaining = 0;
-        std::function<void(Result<std::vector<double>>)> complete;
-    };
-
     /** Outcome of one RPC round-trip. */
     enum class Rpc
     {
@@ -426,11 +389,10 @@ class ProcessShardedServer
 
     /** One shard: queue + dispatcher thread + supervised process.
      * proc-prefixed fields are guarded by rpcMutex (whoever holds it
-     * owns the socket AND the supervision state); the counters below
-     * statsMutex are the stats() snapshot. */
+     * owns the socket AND the supervision state). */
     struct Shard
     {
-        std::unique_ptr<BoundedQueue<Request>> queue;
+        std::unique_ptr<ServeQueue> queue;
         std::thread dispatcher;
 
         std::mutex rpcMutex;
@@ -460,19 +422,15 @@ class ProcessShardedServer
         std::unordered_set<AstDigest, AstDigestHash> residentDigests;
         bool residentOverflow = false;
 
+        /** Batching volume + slice latency (stats() shard row). */
+        ShardCounters counters;
+
         /** Lock-free mirrors for stats()/gauges. */
         std::atomic<std::uint64_t> restarts{0};
         std::atomic<bool> upFlag{false};
         std::atomic<bool> degradedFlag{false};
         std::atomic<pid_t> pidFlag{-1};
         std::atomic<std::uint64_t> generationFlag{0};
-
-        mutable std::mutex statsMutex;
-        std::uint64_t batches = 0;
-        std::uint64_t pairsServed = 0;
-        Histogram batchSizes;
-        Histogram latencyUs;
-        std::unordered_map<std::string, Histogram> tenantLatencyUs;
 
         /** Per-shard registry instruments (null w/o metrics). */
         Counter* restartsMetric = nullptr;
@@ -481,46 +439,26 @@ class ProcessShardedServer
         WindowedHistogram* heartbeatMetric = nullptr;
     };
 
-    struct TenantCounters
-    {
-        std::uint64_t submitted = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t failed = 0;
-        std::uint64_t rejectedQuota = 0;
-        std::uint64_t rejectedDeadline = 0;
-    };
-
-    bool submitCore(
-        const SubmitOptions& submitOpts,
-        std::vector<Engine::PairRequest> pairs,
-        std::function<void(Result<std::vector<double>>)> complete);
-
-    /** Split validated pairs into (shard, Request) slices; same
-     * join machinery as ShardedServer but the target shard index is
-     * returned alongside each slice (per-shard queues). */
-    std::vector<std::pair<std::size_t, Request>> splitRequest(
-        std::vector<Engine::PairRequest> pairs,
-        std::function<void(Result<std::vector<double>>)> complete,
-        const SubmitOptions& submitOpts,
-        std::chrono::steady_clock::time_point submitStart);
+    /** One shard per partition, each with its own queue. */
+    static std::vector<std::unique_ptr<Shard>>
+    makeShards(const Options& opts);
+    /** The front end's wiring: a queue per partition, one model. */
+    FrontEnd::Config frontEndConfig();
 
     void initMetrics();
-    /** Batch-lane flush budget (0 option = 8 x maxBatchDelay). */
-    std::chrono::microseconds batchClassDelay() const;
     /** Spawn workers, dispatchers and the supervisor;
      * lifecycleMutex_ held. */
     void startWorkersLocked();
     void dispatcherLoop(std::size_t shard);
     /** Execute one coalesced batch against shard s's worker (both
      * phases + failure handling). Takes rpcMutex. */
-    void serveBatch(std::size_t s, CoalescedBatch<Request>& batch);
+    void serveBatch(std::size_t s, ServeBatch& batch);
     /** Record one served batch into shard + registry counters and
      * fan the probabilities out. */
-    void completeBatch(std::size_t s, CoalescedBatch<Request>& batch,
+    void completeBatch(std::size_t s, ServeBatch& batch,
                        const std::vector<double>& probs);
     /** Fail every member of a batch with `status`. */
-    static void failBatch(CoalescedBatch<Request>& batch,
-                          const Status& status);
+    static void failBatch(ServeBatch& batch, const Status& status);
 
     /** One ping/pong with per-call deadline; rpcMutex held. */
     Rpc pingLocked(Shard& shard, std::chrono::milliseconds deadline,
@@ -567,7 +505,8 @@ class ProcessShardedServer
     std::string checkpoint_;
     std::string workerBinary_;
     std::vector<std::unique_ptr<Shard>> shards_;
-    ServerMetrics metrics_;
+    /** Request side ({server="ipc"} instruments). */
+    FrontEnd front_;
 
     mutable std::mutex lifecycleMutex_;
     bool started_ = false;
@@ -577,16 +516,6 @@ class ProcessShardedServer
     std::mutex supervisorMutex_;
     std::condition_variable supervisorCv_;
     bool supervisorStop_ = false;
-
-    mutable std::mutex submitMutex_;
-    std::uint64_t submitted_ = 0;
-    std::uint64_t rejectedShed_ = 0;
-    std::uint64_t rejectedShutdown_ = 0;
-    std::uint64_t rejectedQuota_ = 0;
-    std::uint64_t rejectedDeadline_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t failed_ = 0;
-    std::unordered_map<std::string, TenantCounters> tenants_;
 };
 
 } // namespace ccsa

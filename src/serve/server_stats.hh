@@ -1,11 +1,12 @@
 /**
  * @file
- * ServerStats — a point-in-time snapshot of an AsyncServer's
- * observable state: queue pressure, request volume, dynamic-batching
- * effectiveness (batch count + batch-size histogram), end-to-end
- * request latency percentiles, and the wrapped Engine's counters
- * (including the encoding cache's hit/miss/eviction counts, so cache
- * efficacy is observable rather than inferred from benchmarks).
+ * ServerStats — a point-in-time snapshot of a shard server's
+ * observable state (one per-shard row, or the merged aggregate):
+ * queue pressure, request volume, dynamic-batching effectiveness
+ * (batch count + batch-size histogram), end-to-end request latency
+ * percentiles, and the engines' counters (including the encoding
+ * cache's hit/miss/eviction counts, so cache efficacy is observable
+ * rather than inferred from benchmarks).
  */
 
 #ifndef CCSA_SERVE_SERVER_STATS_HH
@@ -42,11 +43,12 @@ struct TenantStats
 {
     /** Tenant name; "" is the default tenant legacy callers use. */
     std::string tenant;
-    /** Requests this tenant had accepted into the queue. */
+    /** Requests this tenant had accepted into a queue. */
     std::uint64_t submitted = 0;
     /** Requests answered with a value. */
     std::uint64_t completed = 0;
-    /** Requests answered with an error Status. */
+    /** Requests answered with an error Status, including those
+     * failed at validation (never queued). */
     std::uint64_t failed = 0;
     /** Requests refused at the door by the AdmissionController
      * (token bucket dry) — the noisy-neighbor signal. */
@@ -63,17 +65,18 @@ struct TenantStats
     double latencyP99Ms = 0.0;
 };
 
-/** Snapshot of AsyncServer counters; see AsyncServer::stats(). */
+/** Snapshot of serving counters; see ShardedServer::stats() and
+ * ProcessShardedServer::stats(). */
 struct ServerStats
 {
     // ------------------------------------------------ queue pressure
-    /** Requests currently waiting for the batcher. */
+    /** Requests currently waiting for a batcher. */
     std::size_t queueDepth = 0;
     /** Configured request-queue capacity (backpressure bound). */
     std::size_t queueCapacity = 0;
 
     // ------------------------------------------------ request volume
-    /** Requests accepted into the queue. */
+    /** Requests accepted into a queue. */
     std::uint64_t requestsSubmitted = 0;
     /** Requests refused, for any reason: always the sum of the four
      * attributed counters below (kept so pre-admission dashboards
@@ -86,18 +89,30 @@ struct ServerStats
     /** ...because the tenant's admission quota was exhausted. */
     std::uint64_t requestsRejectedQuota = 0;
     /** ...because the request's SubmitOptions deadline expired
-     * before (or while) it was served: it completed with
-     * DeadlineExceeded and, unlike the three rejections above, WAS
-     * counted submitted — so requestsSubmitted = requestsCompleted +
-     * requestsFailed + requestsRejectedDeadline once drained. */
+     * while it was queued: it completed with DeadlineExceeded and,
+     * unlike the three rejections above, WAS counted submitted.
+     *
+     * Conservation: every submit call ends as exactly one of
+     * completed, failed, or one of the four rejections, so once
+     * drained requestsCompleted + requestsFailed + requestsRejected
+     * equals the number of submit calls. A request answered during
+     * validation — an empty request (completed), a null tree, an
+     * unknown model, or a tournament of fewer than two candidates
+     * (failed) — never enters a queue and is not counted submitted,
+     * so requestsSubmitted <= requestsCompleted + requestsFailed +
+     * requestsRejectedDeadline, with equality only while no request
+     * was answered at validation. Tenant rows partition the request
+     * counters: summed over tenants, submitted / completed / failed /
+     * rejectedQuota / rejectedDeadline equal the aggregate's. */
     std::uint64_t requestsRejectedDeadline = 0;
     /** Requests whose future was fulfilled with a value. */
     std::uint64_t requestsCompleted = 0;
-    /** Requests whose future was fulfilled with an error Status. */
+    /** Requests whose future was fulfilled with an error Status
+     * (including validation failures). */
     std::uint64_t requestsFailed = 0;
 
     // ---------------------------------------------- dynamic batching
-    /** compareMany ticks executed by the batcher. */
+    /** Coalesced batches executed by the batchers. */
     std::uint64_t batches = 0;
     /** Total pairs scored across all batches. */
     std::uint64_t pairsServed = 0;
@@ -118,12 +133,13 @@ struct ServerStats
     double latencyMeanMs = 0.0;
     double latencyMaxMs = 0.0;
     /** Latency distribution in MICROseconds of every unit the
-     * batcher served: one sample per request on a single-batcher
-     * server, one sample per per-shard SLICE on a sharded one (a
-     * split request contributes a sample per slice, each measuring
-     * submit -> slice completion; the caller-observed latency is the
-     * max of its slices, so count() can exceed requestsCompleted and
-     * split-request samples bound the caller latency from below).
+     * batchers served: one sample per per-shard SLICE (a request
+     * that touches one partition — always, at one shard — is one
+     * slice; a split request contributes a sample per slice, each
+     * measuring enqueue -> slice completion; the caller-observed
+     * latency is the max of its slices, so count() can exceed
+     * requestsCompleted and split-request samples bound the caller
+     * latency from below).
      * Unlike the percentile fields above, histograms merge
      * losslessly across batchers/shards, so this is the field an
      * aggregator combines. */
@@ -183,9 +199,10 @@ void fillTenantPercentiles(TenantStats& row);
 
 /**
  * Registry-owned inline instruments shared by both server flavours
- * (AsyncServer and ShardedServer label them {server="async"} /
- * {server="sharded"}). Fetched once at server construction so the
- * hot path updates atomics without a registry lookup. Two servers
+ * (ShardedServer and ProcessShardedServer label them
+ * {server="sharded"} / {server="ipc"}; serve/front_end.hh owns
+ * them). Fetched once at server construction so the hot path
+ * updates atomics without a registry lookup. Two servers
  * of the same flavour sharing one registry share these counters —
  * the metrics plane is process-wide by design.
  */

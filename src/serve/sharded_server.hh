@@ -1,17 +1,20 @@
 /**
  * @file
- * ccsa::ShardedServer — N batcher workers over a partitioned
- * encoding cache. AsyncServer (PR 2) scaled request *admission*
- * (many producers, one queue) but kept a single batcher: one thread
- * executes every coalesced batch, one mutex-guarded LRU holds every
- * latent, and one engine's serial sections (digesting, cache walk,
- * classifier head, promise fan-out) bound throughput. ShardedServer
- * scales the execution side:
+ * ccsa::ShardedServer — futures-based serving with cross-request
+ * dynamic batching, executed by N worker threads over a partitioned
+ * encoding cache. Clients submit comparisons and tournaments and get
+ * a std::future back at once; the request side (validation,
+ * admission, model resolution, digest split/join, accounting) is the
+ * shared serve/front_end.hh. This class is the in-process EXECUTION
+ * side:
  *
  *  - N worker threads consume the SAME BoundedQueue (work-stealing
  *    load balance: an idle worker takes whatever is next), each
- *    running the AsyncServer coalescing loop against its own Engine,
- *    so up to N batches are in flight at once.
+ *    running the serve/coalesce.hh two-lane coalescing loop against
+ *    its own Engine, so up to N batches are in flight at once. A
+ *    worker flushes its batch when it holds maxBatchSize pairs or its
+ *    oldest member waited maxBatchDelay, then fans results back to
+ *    each caller's promise.
  *  - All N engines share one ShardedEncodingCache: the key space is
  *    partitioned by AST structural digest (digest % numShards), each
  *    partition is an independently-locked LRU, so a tree's latent
@@ -19,21 +22,22 @@
  *    workers only contend when their trees hash to the same
  *    partition, and aggregate cache capacity scales with the shard
  *    count at a fixed per-shard memory budget.
- *  - Cross-shard requests are split and joined: a multi-pair request
- *    is broken into per-shard sub-requests (grouped by the owning
- *    partition of each pair's first tree) that different workers
- *    execute concurrently, and a join fans the slices back into one
- *    result in request order. submitRank rides the same machinery —
- *    Engine::tournamentPairs to split, Engine::aggregateTournament
- *    to join — so a big tournament parallelises across shards.
+ *  - A multi-pair request is split into per-partition slices that
+ *    different workers execute concurrently and joined back in
+ *    request order; submitRank rides the same machinery, so a big
+ *    tournament parallelises across shards.
  *
- * Determinism contract: identical to AsyncServer's. Every pair's
- * probability is produced by Engine::compareMany, whose per-pair
- * output is independent of batch composition, worker assignment, and
- * shard count, so results are bitwise-identical to a synchronous
- * Engine on the same weights at 1, 2, 4, or 8 shards
- * (tests/test_sharded_server.cc pins this under a multi-producer
- * stress schedule).
+ * One shard (Options::withNumShards(1)) is the single-batcher
+ * configuration: one worker, one engine, one cache partition — the
+ * right default for a small deployment and the baseline the
+ * sharded rows of bench/serve_throughput.cc are measured against.
+ *
+ * Determinism contract: every pair's probability is produced by
+ * Engine::compareMany, whose per-pair output is independent of batch
+ * composition, worker assignment, and shard count, so results are
+ * bitwise-identical to a synchronous Engine on the same weights at
+ * 1, 2, 4, or 8 shards (tests/test_sharded_server.cc pins this under
+ * multi-producer stress schedules).
  *
  * Stats: per-shard ServerStats plus an aggregate whose latency
  * percentiles are derived from the MERGED per-shard latency
@@ -41,43 +45,44 @@
  * percentiles, which is statistically wrong.
  *
  * Multi-model serving: construct over a ModelRegistry and submit
- * with model names. Names resolve to immutable ModelVersion
- * snapshots AT ADMISSION (a request admitted before a hot swap
- * completes on the version it was admitted under); each worker tick
- * executes one engine call per (model version, pairs) group of its
- * coalesced batch; and the shared cache keys latents by
+ * with SubmitOptions().withModel(name). Names resolve to immutable
+ * ModelVersion snapshots AT ADMISSION (a request admitted before a
+ * hot swap completes on the version it was admitted under); each
+ * worker tick executes one engine call per (model version, pairs)
+ * group of its coalesced batch; and the shared cache keys latents by
  * (version id, digest), so models and hot-swapped versions occupy
  * isolated namespaces while all N workers still share each
  * version's latents. Per model, results stay bitwise-identical to a
  * dedicated single-model Engine at any shard count.
  *
- * Failure semantics, lifetime, and shutdown-drain match AsyncServer:
- * per-request Status, trees outlive their futures, shutdown()
- * answers everything accepted before joining the workers.
+ * Failure semantics: per-request Status, never process death. A
+ * malformed request fails only its own future; a batch-level engine
+ * failure fails only the requests of its model group; submissions
+ * after shutdown() resolve immediately with Unavailable.
+ *
+ * Lifetime: trees referenced by a request must stay alive until its
+ * future is ready. shutdown() closes the queue, answers everything
+ * accepted, joins the workers, and is idempotent; the destructor
+ * calls it.
  */
 
 #ifndef CCSA_SERVE_SHARDED_SERVER_HH
 #define CCSA_SERVE_SHARDED_SERVER_HH
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "base/bounded_queue.hh"
 #include "base/result.hh"
-#include "base/stats.hh"
 #include "serve/admission/admission_controller.hh"
 #include "serve/engine.hh"
+#include "serve/front_end.hh"
 #include "serve/server_stats.hh"
 #include "serve/trace/trace_recorder.hh"
 
@@ -117,7 +122,9 @@ class ShardedServer
          * long. */
         std::chrono::microseconds maxBatchDelay{500};
         /** Flush budget of the BATCH priority lane (see
-         * serve/coalesce.hh and AsyncServer::Options). 0 = "8 x
+         * serve/coalesce.hh): batch-class members may be held past
+         * an interactive flush until the oldest waited this long,
+         * so background traffic rides full batches. 0 = "8 x
          * maxBatchDelay"; clamped up to maxBatchDelay. */
         std::chrono::microseconds maxBatchClassDelay{0};
         /** Optional per-tenant admission gate shared by every submit
@@ -240,8 +247,8 @@ class ShardedServer
     /**
      * Multi-model serving: every shard engine resolves model names
      * through the same registry, over one shared namespace-aware
-     * cache. Submit with the model-name overloads; hot-swap by
-     * publishing to the registry while traffic flows.
+     * cache. Submit with SubmitOptions().withModel(name); hot-swap
+     * by publishing to the registry while traffic flows.
      */
     ShardedServer(std::shared_ptr<ModelRegistry> registry,
                   Engine::Options engineOpts, Options opts);
@@ -252,16 +259,15 @@ class ShardedServer
     ShardedServer(const ShardedServer&) = delete;
     ShardedServer& operator=(const ShardedServer&) = delete;
 
-    /** Submit one comparison; same contract as AsyncServer. The
-     * model-name overloads serve a named registry model. */
-    std::future<Result<double>> submitCompare(const Ast& first,
-                                              const Ast& second);
-    std::future<Result<double>> submitCompare(
-        const std::string& model, const Ast& first,
-        const Ast& second);
-    std::future<Result<double>> submitCompare(
-        const SubmitOptions& submitOpts, const Ast& first,
-        const Ast& second);
+    /**
+     * Submit one comparison; resolves to P(first slower-or-equal),
+     * exactly as Engine::compare. Blocks while the queue is full.
+     * SubmitOptions carries the model name (registry serving),
+     * tenant, priority lane and deadline.
+     */
+    std::future<Result<double>>
+    submitCompare(const Ast& first, const Ast& second,
+                  const SubmitOptions& submitOpts = SubmitOptions());
 
     /**
      * Submit a pair batch; resolves to one probability per pair in
@@ -271,13 +277,8 @@ class ShardedServer
      * Engine::compareMany on the whole batch.
      */
     std::future<Result<std::vector<double>>>
-    submitCompareMany(std::vector<Engine::PairRequest> pairs);
-    std::future<Result<std::vector<double>>>
-    submitCompareMany(const std::string& model,
-                      std::vector<Engine::PairRequest> pairs);
-    std::future<Result<std::vector<double>>>
-    submitCompareMany(const SubmitOptions& submitOpts,
-                      std::vector<Engine::PairRequest> pairs);
+    submitCompareMany(std::vector<Engine::PairRequest> pairs,
+                      const SubmitOptions& submitOpts = SubmitOptions());
 
     /**
      * Submit a ranking tournament: tournamentPairs splits it across
@@ -285,27 +286,18 @@ class ShardedServer
      * bitwise-identical to Engine::rank.
      */
     std::future<Result<std::vector<Engine::RankedCandidate>>>
-    submitRank(std::vector<const Ast*> candidates);
-    std::future<Result<std::vector<Engine::RankedCandidate>>>
-    submitRank(const std::string& model,
-               std::vector<const Ast*> candidates);
-    std::future<Result<std::vector<Engine::RankedCandidate>>>
-    submitRank(const SubmitOptions& submitOpts,
-               std::vector<const Ast*> candidates);
+    submitRank(std::vector<const Ast*> candidates,
+               const SubmitOptions& submitOpts = SubmitOptions());
 
     /**
      * Non-blocking submitCompare: nullopt when the queue lacks room
      * (nothing was enqueued). A shut-down server still returns a
-     * future carrying Unavailable.
+     * future carrying Unavailable, so callers can tell backpressure
+     * from teardown.
      */
     std::optional<std::future<Result<double>>>
-    trySubmitCompare(const Ast& first, const Ast& second);
-    std::optional<std::future<Result<double>>>
-    trySubmitCompare(const std::string& model, const Ast& first,
-                     const Ast& second);
-    std::optional<std::future<Result<double>>>
-    trySubmitCompare(const SubmitOptions& submitOpts,
-                     const Ast& first, const Ast& second);
+    trySubmitCompare(const Ast& first, const Ast& second,
+                     const SubmitOptions& submitOpts = SubmitOptions());
 
     /**
      * Non-blocking submitCompareMany. Admission is all-or-nothing:
@@ -314,13 +306,9 @@ class ShardedServer
      * request never leaves half of itself behind.
      */
     std::optional<std::future<Result<std::vector<double>>>>
-    trySubmitCompareMany(std::vector<Engine::PairRequest> pairs);
-    std::optional<std::future<Result<std::vector<double>>>>
-    trySubmitCompareMany(const std::string& model,
-                         std::vector<Engine::PairRequest> pairs);
-    std::optional<std::future<Result<std::vector<double>>>>
-    trySubmitCompareMany(const SubmitOptions& submitOpts,
-                         std::vector<Engine::PairRequest> pairs);
+    trySubmitCompareMany(
+        std::vector<Engine::PairRequest> pairs,
+        const SubmitOptions& submitOpts = SubmitOptions());
 
     /** Start the workers if construction was startPaused. */
     void start();
@@ -354,125 +342,38 @@ class ShardedServer
     const ShardedEncodingCache& cache() const { return *cache_; }
 
   private:
-    /** One queued unit: a per-shard slice of a client request,
-     * pinned to the ModelVersion resolved at admission. */
-    struct Request
-    {
-        std::vector<Engine::PairRequest> pairs;
-        std::shared_ptr<const ModelVersion> version;
-        std::function<void(Result<std::vector<double>>)> complete;
-        /** Scheduling lane (serve/coalesce.hh two-lane flush). */
-        Priority priority = Priority::kInteractive;
-        /** Admission tenant ("" = default tenant). */
-        std::string tenant;
-        /** TraceRecorder chain id, PER SLICE; 0 = untraced. */
-        std::uint64_t traceId = 0;
-        /** submitCore entry — the admission trace span's start. */
-        std::chrono::steady_clock::time_point submitted;
-        std::chrono::steady_clock::time_point enqueued;
-        /** Stamped by the Coalescer when popped (queue-span end). */
-        std::chrono::steady_clock::time_point dequeued;
-        /** Absolute submit-side deadline (max() = none); a worker
-         * answers an expired slice with DeadlineExceeded instead of
-         * encoding it. A split request's join propagates the first
-         * slice's error, so however many slices expire the CLIENT
-         * request resolves (and is counted) once. */
-        std::chrono::steady_clock::time_point deadline =
-            std::chrono::steady_clock::time_point::max();
-    };
-
-    /** Fan-in for a request split across shards. */
-    struct JoinState
-    {
-        std::mutex mutex;
-        std::vector<double> values;
-        Status error; // Ok until the first failing slice
-        std::size_t remaining = 0;
-        std::function<void(Result<std::vector<double>>)> complete;
-    };
-
     /** A worker: one thread, one engine, its own counters. */
     struct Worker
     {
         std::unique_ptr<Engine> engine;
+        ShardCounters counters;
         std::thread thread;
-        mutable std::mutex mutex;
-        std::uint64_t batches = 0;
-        std::uint64_t pairsServed = 0;
-        Histogram batchSizes;
-        Histogram latencyUs;
-        /** Per-tenant latency of the SLICES this worker served;
-         * merged across workers into the aggregate's tenant rows. */
-        std::unordered_map<std::string, Histogram> tenantLatencyUs;
     };
 
-    /** Submit-side per-tenant counters (latency lives per worker). */
-    struct TenantCounters
-    {
-        std::uint64_t submitted = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t failed = 0;
-        std::uint64_t rejectedQuota = 0;
-        std::uint64_t rejectedDeadline = 0;
-    };
-
-    bool submitCore(
-        const SubmitOptions& submitOpts,
-        std::vector<Engine::PairRequest> pairs,
-        std::function<void(Result<std::vector<double>>)> complete,
-        bool blocking);
-
-    /** Split validated pairs into per-shard Requests wired to one
-     * completion (directly, or through a JoinState when the request
-     * crosses shards); every slice pins `version` and carries the
-     * submit's tenant/priority (each slice gets its own trace
-     * chain — a split request is N concurrent pipeline walks). */
-    std::vector<Request> splitRequest(
-        std::vector<Engine::PairRequest> pairs,
-        std::shared_ptr<const ModelVersion> version,
-        std::function<void(Result<std::vector<double>>)> complete,
-        const SubmitOptions& submitOpts,
-        std::chrono::steady_clock::time_point submitStart);
-
-    /** Fetch the inline registry instruments; no-op without an
-     * attached registry. */
-    void initMetrics();
+    /** The front end's wiring: one shared queue, numShards
+     * partitions, model names resolved by the shard engines. */
+    FrontEnd::Config frontEndConfig();
 
     void workerLoop(std::size_t shard);
     /** Emit one slice's five-span chain (no-op when untraced). */
-    void recordTrace(const Request& request,
+    void recordTrace(const ServeRequest& request,
                      const Engine::PhaseTiming& timing,
                      std::uint32_t lane);
-    /** The batch lane's flush budget after defaulting (0 -> 8x
-     * maxBatchDelay). */
-    std::chrono::microseconds batchClassDelay() const;
 
     /** Spawn all worker threads; caller holds lifecycleMutex_. */
     void startWorkersLocked();
 
     Options opts_;
     std::shared_ptr<ShardedEncodingCache> cache_;
-    BoundedQueue<Request> queue_;
+    ServeQueue queue_;
     std::vector<std::unique_ptr<Worker>> workers_;
-    /** Registry-owned inline instruments ({server="sharded"});
-     * null members when no registry is attached. */
-    ServerMetrics metrics_;
+    /** Request side ({server="sharded"} instruments). */
+    FrontEnd front_;
 
     /** Guards the worker-thread lifecycle (start/shutdown). */
     mutable std::mutex lifecycleMutex_;
     bool started_ = false;
     bool shutdown_ = false;
-
-    /** Guards the request-level counters below. */
-    mutable std::mutex submitMutex_;
-    std::uint64_t submitted_ = 0;
-    std::uint64_t rejectedShed_ = 0;
-    std::uint64_t rejectedShutdown_ = 0;
-    std::uint64_t rejectedQuota_ = 0;
-    std::uint64_t rejectedDeadline_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t failed_ = 0;
-    std::unordered_map<std::string, TenantCounters> tenants_;
 };
 
 } // namespace ccsa

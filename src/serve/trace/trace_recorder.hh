@@ -3,8 +3,8 @@
  * ccsa::TraceRecorder — per-request span recording for the serving
  * layer, exported as chrome://tracing JSON (the "trace event
  * format" Chrome, Perfetto, and speedscope all open). Attach one to
- * an AsyncServer or ShardedServer and every request it executes
- * leaves a five-span chain:
+ * a ShardedServer and every request slice it executes leaves a
+ * five-span chain:
  *
  *   admission -> queue -> coalesce -> encode -> score
  *

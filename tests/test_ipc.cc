@@ -24,7 +24,12 @@
  *    opens the circuit breaker and degrades only its own shard;
  *  - SubmitOptions deadlines expire queued requests with
  *    DeadlineExceeded and the conservation identity
- *    submitted == completed + failed + deadline holds once drained.
+ *    submitted == completed + failed + deadline holds once drained;
+ *  - the shared request front end answers both shard servers alike:
+ *    a dry admission bucket gives ResourceExhausted, validation
+ *    failures (rank of one candidate, null tree, unknown model) are
+ *    counted on the caller's tenant row, and tenant rows sum to the
+ *    aggregate.
  */
 
 #include <gtest/gtest.h>
@@ -49,6 +54,7 @@
 #include "serve/ipc/wire.hh"
 #include "serve/ipc/worker.hh"
 #include "serve/metrics/metrics.hh"
+#include "serve/sharded_server.hh"
 
 namespace ccsa
 {
@@ -670,8 +676,8 @@ TEST(ProcessShardedServer, DeadlineExpiresWhileQueued)
     Ast b = tinyProgram(2);
     ProcessShardedServer server(
         tinyModel(), ipcOptions(1).withStartPaused(true));
-    auto expired = server.submitCompare(
-        SubmitOptions().withDeadline(1000us), a, b);
+    auto expired =
+        server.submitCompare(a, b, SubmitOptions().withDeadline(1000us));
     std::this_thread::sleep_for(50ms);
     server.start();
     Result<double> got = expired.get();
@@ -680,10 +686,10 @@ TEST(ProcessShardedServer, DeadlineExpiresWhileQueued)
 
     // A generous deadline still completes normally.
     auto fine = server.submitCompare(
+        a, b,
         SubmitOptions().withDeadline(
             std::chrono::duration_cast<std::chrono::microseconds>(
-                30s)),
-        a, b);
+                30s)));
     EXPECT_TRUE(fine.get().isOk());
 
     server.shutdown();
@@ -959,6 +965,112 @@ TEST(ProcessShardedServer, ShutdownDrainsAcceptedRequests)
     Result<double> late = server.submitCompare(a, b).get();
     ASSERT_FALSE(late.isOk());
     EXPECT_EQ(late.status().code(), StatusCode::Unavailable);
+}
+
+// ------------------------------------------ shared request front end
+
+/**
+ * One request mix through either shard server: both answer through
+ * serve/front_end.hh, so the statuses and the accounting must match.
+ * Tenant "t" has a 3-pair bucket that never refills.
+ */
+template <typename Server>
+void
+checkFrontEndAccounting(Server& server, const char* label)
+{
+    SCOPED_TRACE(label);
+    Ast a = tinyProgram(1);
+    Ast b = tinyProgram(2);
+    const SubmitOptions asT = SubmitOptions().withTenant("t");
+
+    // Admitted and served: 1 of 3 tokens spent.
+    EXPECT_TRUE(server.submitCompare(a, b, asT).get().isOk());
+    // Validation failures: answered before admission, counted failed
+    // on the caller's tenant row.
+    EXPECT_EQ(server.submitRank({&a}, asT).get().status().code(),
+              StatusCode::InvalidArgument);
+    EXPECT_EQ(server
+                  .submitCompareMany({Engine::PairRequest{&a, nullptr}},
+                                     asT)
+                  .get()
+                  .status()
+                  .code(),
+              StatusCode::InvalidArgument);
+    // Admission is charged BEFORE model resolution: the unknown
+    // name spends a token, then fails.
+    EXPECT_EQ(server
+                  .submitCompare(a, b,
+                                 SubmitOptions(asT).withModel("nope"))
+                  .get()
+                  .status()
+                  .code(),
+              StatusCode::InvalidArgument);
+    // Two pairs against the one token left: a dry bucket.
+    EXPECT_EQ(server.submitCompareMany({{&a, &b}, {&b, &a}}, asT)
+                  .get()
+                  .status()
+                  .code(),
+              StatusCode::ResourceExhausted);
+    // The default tenant is unquoted.
+    EXPECT_TRUE(server.submitCompare(b, a).get().isOk());
+    const std::uint64_t calls = 6;
+
+    server.shutdown();
+    ServerStats stats = server.stats().aggregate;
+    EXPECT_EQ(stats.requestsSubmitted, 2u);
+    EXPECT_EQ(stats.requestsCompleted, 2u);
+    EXPECT_EQ(stats.requestsFailed, 3u);
+    EXPECT_EQ(stats.requestsRejectedQuota, 1u);
+    EXPECT_EQ(stats.requestsRejected, 1u);
+    // Every submit call ends as exactly one outcome...
+    EXPECT_EQ(stats.requestsCompleted + stats.requestsFailed +
+                  stats.requestsRejected,
+              calls);
+    // ...while requests answered at validation never count as
+    // submitted, so submitted only bounds the queued outcomes.
+    EXPECT_LE(stats.requestsSubmitted,
+              stats.requestsCompleted + stats.requestsFailed +
+                  stats.requestsRejectedDeadline);
+
+    ASSERT_EQ(stats.tenants.size(), 2u);
+    const TenantStats& t = stats.tenants[1];
+    EXPECT_EQ(t.tenant, "t");
+    EXPECT_EQ(t.submitted, 1u);
+    EXPECT_EQ(t.completed, 1u);
+    EXPECT_EQ(t.failed, 3u);
+    EXPECT_EQ(t.rejectedQuota, 1u);
+    EXPECT_GT(t.latencyUs.count(), 0u);
+
+    // Tenant rows sum to the aggregate.
+    TenantStats sum;
+    for (const TenantStats& row : stats.tenants) {
+        sum.submitted += row.submitted;
+        sum.completed += row.completed;
+        sum.failed += row.failed;
+        sum.rejectedQuota += row.rejectedQuota;
+        sum.rejectedDeadline += row.rejectedDeadline;
+    }
+    EXPECT_EQ(sum.submitted, stats.requestsSubmitted);
+    EXPECT_EQ(sum.completed, stats.requestsCompleted);
+    EXPECT_EQ(sum.failed, stats.requestsFailed);
+    EXPECT_EQ(sum.rejectedQuota, stats.requestsRejectedQuota);
+    EXPECT_EQ(sum.rejectedDeadline, stats.requestsRejectedDeadline);
+}
+
+TEST(FrontEnd, BothShardServersAccountTenantsAlike)
+{
+    AdmissionController inProcess;
+    inProcess.setQuota("t", {/*pairsPerSec=*/0.0, /*burst=*/3.0});
+    ShardedServer sharded(tinyOptions(), ShardedServer::Options()
+                                             .withNumShards(2)
+                                             .withAdmission(&inProcess));
+    checkFrontEndAccounting(sharded, "ShardedServer");
+
+    AdmissionController isolated;
+    isolated.setQuota("t", {/*pairsPerSec=*/0.0, /*burst=*/3.0});
+    ProcessShardedServer process(
+        tinyModel(), ipcOptions(2).withAdmission(&isolated));
+    checkFrontEndAccounting(process, "ProcessShardedServer");
 }
 
 } // namespace

@@ -1,21 +1,25 @@
 /**
  * @file
- * The ISSUE-4 stress/property harness for sharded serving. Pinned
- * contracts: ShardedServer results are bitwise-identical to the
- * synchronous Engine at 1, 2, and 4 shards under a deterministic
- * multi-producer schedule (seeded base/rng streams, precomputed
- * before any thread starts); cross-shard requests split and join
- * without reordering; shutdown drains every accepted request;
- * trySubmit load-shed is all-or-nothing even for requests split
- * across shards; and the stats aggregate is exactly the per-shard
- * rows merged (latency percentiles from merged histograms, cache
- * partitions summing to the shared cache).
+ * The stress/property harness for ShardedServer, with the one-shard
+ * (single-batcher) configuration as an input to every case. Pinned
+ * contracts: results are bitwise-identical to the synchronous Engine
+ * at 1, 2, 4 and 8 shards under deterministic multi-producer
+ * schedules (seeded base/rng streams, precomputed before any thread
+ * starts) and an 8-producer closed-loop stress; cross-shard requests
+ * split and join without reordering; staged requests coalesce into
+ * one batch; shutdown drains every accepted request; a queued
+ * deadline expires once per request; trySubmit load-shed is
+ * all-or-nothing even for requests split across shards; malformed
+ * requests fail only their own future; and the stats aggregate is
+ * exactly the per-shard rows merged (latency percentiles from
+ * merged histograms, cache partitions summing to the shared cache).
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +33,7 @@ namespace
 {
 
 using std::chrono::microseconds;
+using std::chrono::milliseconds;
 
 Ast
 tinyProgram(int loops)
@@ -51,37 +56,6 @@ tinyOptions()
         .withHiddenDim(8)
         .withSeed(7)
         .withThreads(1);
-}
-
-// ------------------------------------- BoundedQueue::tryPushAll
-
-TEST(BoundedQueue, TryPushAllIsAllOrNothing)
-{
-    BoundedQueue<int> q(3);
-    std::vector<int> first{1, 2};
-    EXPECT_EQ(q.tryPushAll(first), QueuePush::Ok);
-    EXPECT_EQ(q.size(), 2u);
-
-    // Two items into one free slot: nothing may enter.
-    std::vector<int> overflow{3, 4};
-    EXPECT_EQ(q.tryPushAll(overflow), QueuePush::Full);
-    EXPECT_EQ(q.size(), 2u);
-    EXPECT_EQ(overflow, (std::vector<int>{3, 4})); // untouched
-
-    std::vector<int> last{3};
-    EXPECT_EQ(q.tryPushAll(last), QueuePush::Ok);
-    EXPECT_EQ(q.pop().value(), 1); // FIFO preserved across batches
-    EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_EQ(q.pop().value(), 3);
-
-    std::vector<int> none;
-    EXPECT_EQ(q.tryPushAll(none), QueuePush::Ok); // empty is a no-op
-    EXPECT_EQ(q.size(), 0u);
-
-    q.close();
-    std::vector<int> late{9};
-    EXPECT_EQ(q.tryPushAll(late), QueuePush::Closed);
-    EXPECT_EQ(late, (std::vector<int>{9}));
 }
 
 // ------------------------------------------------- ShardedServer
@@ -263,6 +237,116 @@ TEST(ShardedServer, DeterministicMultiProducerStressMatchesSyncPath)
     }
 }
 
+TEST(ShardedServer, ClosedLoopEightProducerStressIsBitwiseEqual)
+{
+    constexpr int kClients = 8;
+    constexpr int kRequestsPerClient = 100;
+    constexpr int kTrees = 6;
+
+    std::vector<Ast> trees;
+    for (int i = 1; i <= kTrees; ++i)
+        trees.push_back(tinyProgram(i));
+
+    // Reference matrix from the synchronous path.
+    Engine reference(tinyOptions());
+    std::vector<Engine::PairRequest> allPairs;
+    for (int i = 0; i < kTrees; ++i)
+        for (int j = 0; j < kTrees; ++j)
+            if (i != j)
+                allPairs.push_back({&trees[i], &trees[j]});
+    std::vector<double> refProbs =
+        reference.compareMany(allPairs).value();
+    auto expectedProb = [&](int i, int j) {
+        // Row-major over ordered pairs with the diagonal removed.
+        int row = i * (kTrees - 1);
+        int col = j < i ? j : j - 1;
+        return refProbs[static_cast<std::size_t>(row + col)];
+    };
+
+    // Submit-and-wait clients: batches are bounded by the client
+    // count, so coalescing runs on every tick.
+    for (std::size_t shards : {1u, 4u}) {
+        ShardedServer server(tinyOptions(),
+                             ShardedServer::Options()
+                                 .withNumShards(shards)
+                                 .withQueueCapacity(64)
+                                 .withMaxBatchSize(32)
+                                 .withMaxBatchDelay(
+                                     microseconds(200)));
+        std::vector<std::thread> clients;
+        std::vector<int> mismatches(kClients, 0);
+        std::vector<int> failures(kClients, 0);
+        for (int c = 0; c < kClients; ++c) {
+            clients.emplace_back([&, c] {
+                for (int k = 0; k < kRequestsPerClient; ++k) {
+                    int i = (c * 7 + k) % kTrees;
+                    int j = (c * 11 + 3 * k + 1) % kTrees;
+                    if (i == j)
+                        j = (j + 1) % kTrees;
+                    Result<double> got =
+                        server
+                            .submitCompare(
+                                trees[static_cast<std::size_t>(i)],
+                                trees[static_cast<std::size_t>(j)])
+                            .get();
+                    if (!got.isOk())
+                        failures[static_cast<std::size_t>(c)]++;
+                    else if (got.value() != expectedProb(i, j))
+                        mismatches[static_cast<std::size_t>(c)]++;
+                }
+            });
+        }
+        for (std::thread& t : clients)
+            t.join();
+        for (int c = 0; c < kClients; ++c) {
+            EXPECT_EQ(failures[static_cast<std::size_t>(c)], 0)
+                << "shards=" << shards << " client " << c;
+            EXPECT_EQ(mismatches[static_cast<std::size_t>(c)], 0)
+                << "shards=" << shards << " client " << c;
+        }
+
+        ServerStats stats = server.stats().aggregate;
+        EXPECT_EQ(stats.requestsSubmitted,
+                  static_cast<std::uint64_t>(kClients *
+                                             kRequestsPerClient));
+        EXPECT_EQ(stats.requestsCompleted, stats.requestsSubmitted);
+        EXPECT_EQ(stats.requestsFailed, 0u);
+        EXPECT_EQ(stats.pairsServed, stats.requestsSubmitted);
+        EXPECT_GE(stats.batches, 1u);
+        EXPECT_EQ(stats.batchSizes.count(), stats.batches);
+        EXPECT_EQ(stats.batchSizes.sum(), stats.pairsServed);
+    }
+}
+
+TEST(ShardedServer, OneShardCoalescesStagedRequestsIntoOneBatch)
+{
+    Ast a = tinyProgram(1);
+    Ast b = tinyProgram(2);
+
+    ShardedServer server(tinyOptions(),
+                         ShardedServer::Options()
+                             .withNumShards(1)
+                             .withStartPaused(true)
+                             .withMaxBatchSize(10)
+                             .withMaxBatchDelay(milliseconds(50)));
+    std::vector<std::future<Result<double>>> futures;
+    for (int k = 0; k < 10; ++k)
+        futures.push_back(server.submitCompare(a, b));
+    EXPECT_EQ(server.stats().aggregate.queueDepth, 10u);
+
+    server.start();
+    for (auto& f : futures)
+        EXPECT_TRUE(f.get().isOk());
+
+    // All ten single-pair requests were staged before the one worker
+    // ran, so they coalesce into exactly one full batch.
+    ServerStats stats = server.stats().aggregate;
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.pairsServed, 10u);
+    EXPECT_EQ(stats.batchSizes.max(), 10u);
+    EXPECT_EQ(stats.queueDepth, 0u);
+}
+
 TEST(ShardedServer, ShutdownDrainsEveryAcceptedRequest)
 {
     Engine reference(tinyOptions());
@@ -274,37 +358,42 @@ TEST(ShardedServer, ShutdownDrainsEveryAcceptedRequest)
     std::vector<Engine::PairRequest> manyPairs;
     for (std::size_t i = 0; i + 1 < trees.size(); ++i)
         manyPairs.push_back({&trees[i], &trees[i + 1]});
-
-    // Paused 4-shard server: nothing runs until shutdown, which must
-    // still answer every accepted request — including ones already
-    // split across shards — before returning.
-    ShardedServer server(tinyOptions(),
-                         ShardedServer::Options()
-                             .withNumShards(4)
-                             .withStartPaused(true)
-                             .withQueueCapacity(256));
-    std::vector<std::future<Result<double>>> singles;
-    for (int k = 0; k < 20; ++k)
-        singles.push_back(server.submitCompare(a, b));
-    auto split = server.submitCompareMany(manyPairs);
-    EXPECT_GT(server.stats().aggregate.queueDepth, 0u);
-
-    server.shutdown();
-    EXPECT_TRUE(server.isShutdown());
-
     double expected = reference.compare(a, b).value();
-    for (auto& f : singles) {
-        Result<double> got = f.get();
-        ASSERT_TRUE(got.isOk());
-        EXPECT_EQ(got.value(), expected);
-    }
     auto expectedMany = reference.compareMany(manyPairs).value();
-    auto gotMany = split.get();
-    ASSERT_TRUE(gotMany.isOk());
-    ASSERT_EQ(gotMany.value().size(), expectedMany.size());
-    for (std::size_t k = 0; k < expectedMany.size(); ++k)
-        EXPECT_EQ(gotMany.value()[k], expectedMany[k]);
-    EXPECT_EQ(server.stats().aggregate.requestsCompleted, 21u);
+
+    // Paused server: nothing runs until shutdown, which must still
+    // answer every accepted request — including ones already split
+    // across shards — before returning.
+    for (std::size_t shards : {1u, 4u}) {
+        ShardedServer server(tinyOptions(),
+                             ShardedServer::Options()
+                                 .withNumShards(shards)
+                                 .withStartPaused(true)
+                                 .withQueueCapacity(256));
+        std::vector<std::future<Result<double>>> singles;
+        for (int k = 0; k < 20; ++k)
+            singles.push_back(server.submitCompare(a, b));
+        auto split = server.submitCompareMany(manyPairs);
+        // One queue entry per single plus one per slice of the
+        // split request (the whole request at one shard).
+        EXPECT_GE(server.stats().aggregate.queueDepth, 21u)
+            << "shards=" << shards;
+
+        server.shutdown();
+        EXPECT_TRUE(server.isShutdown());
+
+        for (auto& f : singles) {
+            Result<double> got = f.get();
+            ASSERT_TRUE(got.isOk());
+            EXPECT_EQ(got.value(), expected);
+        }
+        auto gotMany = split.get();
+        ASSERT_TRUE(gotMany.isOk());
+        ASSERT_EQ(gotMany.value().size(), expectedMany.size());
+        for (std::size_t k = 0; k < expectedMany.size(); ++k)
+            EXPECT_EQ(gotMany.value()[k], expectedMany[k]);
+        EXPECT_EQ(server.stats().aggregate.requestsCompleted, 21u);
+    }
 }
 
 TEST(ShardedServer, DeadlineExpiresWhileQueuedAndCountsOnce)
@@ -317,40 +406,79 @@ TEST(ShardedServer, DeadlineExpiresWhileQueuedAndCountsOnce)
     for (std::size_t i = 0; i + 1 < trees.size(); ++i)
         pairs.push_back({&trees[i], &trees[i + 1]});
 
-    // Paused 2-shard server: the split request expires on every
-    // shard it touched, but the deadline rejection is attributed to
-    // ONE request — the join must not double-count slices.
-    ShardedServer server(tinyOptions(),
-                         ShardedServer::Options()
-                             .withNumShards(2)
-                             .withStartPaused(true));
-    auto expired = server.submitCompareMany(
-        SubmitOptions().withDeadline(
-            std::chrono::microseconds(1000)),
-        pairs);
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    server.start();
-    auto got = expired.get();
-    ASSERT_FALSE(got.isOk());
-    EXPECT_EQ(got.status().code(), StatusCode::DeadlineExceeded);
+    // Paused server: the request sits queued past its deadline, so
+    // the worker must answer DeadlineExceeded instead of encoding it
+    // — the deadline bounds queue wait, not execution. At 2 shards
+    // the request is split and expires on every shard it touched,
+    // but the rejection is attributed to ONE request — the join must
+    // not double-count slices.
+    for (std::size_t shards : {1u, 2u}) {
+        ShardedServer server(tinyOptions(),
+                             ShardedServer::Options()
+                                 .withNumShards(shards)
+                                 .withStartPaused(true));
+        auto expired = server.submitCompareMany(
+            pairs, SubmitOptions().withDeadline(microseconds(1000)));
+        std::this_thread::sleep_for(milliseconds(50));
+        server.start();
+        auto got = expired.get();
+        ASSERT_FALSE(got.isOk());
+        EXPECT_EQ(got.status().code(), StatusCode::DeadlineExceeded);
 
-    // A generous deadline completes with the exact sync values.
-    auto fine = server.submitCompareMany(
-        SubmitOptions().withDeadline(
-            std::chrono::microseconds(30'000'000)),
-        pairs);
-    auto fineGot = fine.get();
-    ASSERT_TRUE(fineGot.isOk());
-    EXPECT_EQ(fineGot.value(), reference.compareMany(pairs).value());
+        // A generous deadline completes with the exact sync values.
+        auto fine = server.submitCompareMany(
+            pairs,
+            SubmitOptions().withDeadline(microseconds(30'000'000)));
+        auto fineGot = fine.get();
+        ASSERT_TRUE(fineGot.isOk());
+        EXPECT_EQ(fineGot.value(),
+                  reference.compareMany(pairs).value());
 
-    server.shutdown();
-    ServerStats stats = server.stats().aggregate;
-    EXPECT_EQ(stats.requestsSubmitted, 2u);
-    EXPECT_EQ(stats.requestsRejectedDeadline, 1u);
-    EXPECT_EQ(stats.requestsCompleted, 1u);
-    EXPECT_EQ(stats.requestsSubmitted,
-              stats.requestsCompleted + stats.requestsFailed +
-                  stats.requestsRejectedDeadline);
+        server.shutdown();
+        ServerStats stats = server.stats().aggregate;
+        EXPECT_EQ(stats.requestsSubmitted, 2u);
+        EXPECT_EQ(stats.requestsRejectedDeadline, 1u);
+        EXPECT_EQ(stats.requestsCompleted, 1u);
+        // Every request here entered the queue, so each submitted
+        // request ended completed, failed, or deadline-rejected.
+        EXPECT_EQ(stats.requestsSubmitted,
+                  stats.requestsCompleted + stats.requestsFailed +
+                      stats.requestsRejectedDeadline);
+    }
+}
+
+TEST(ShardedServer, TrySubmitShedsLoadWhenQueueIsFull)
+{
+    Ast a = tinyProgram(1);
+    Ast b = tinyProgram(2);
+
+    for (std::size_t shards : {1u, 4u}) {
+        ShardedServer server(tinyOptions(),
+                             ShardedServer::Options()
+                                 .withNumShards(shards)
+                                 .withStartPaused(true)
+                                 .withQueueCapacity(2));
+        auto first = server.trySubmitCompare(a, b);
+        auto second = server.trySubmitCompare(a, b);
+        ASSERT_TRUE(first.has_value());
+        ASSERT_TRUE(second.has_value());
+
+        auto third = server.trySubmitCompare(a, b);
+        EXPECT_FALSE(third.has_value()); // queue full: load shed
+
+        ServerStats stats = server.stats().aggregate;
+        EXPECT_EQ(stats.queueDepth, 2u);
+        EXPECT_EQ(stats.queueCapacity, 2u);
+        EXPECT_EQ(stats.requestsSubmitted, 2u);
+        EXPECT_EQ(stats.requestsRejected, 1u);
+        EXPECT_EQ(stats.requestsRejectedShed, 1u);
+
+        // The accepted requests are still answered once draining
+        // starts.
+        server.shutdown();
+        EXPECT_TRUE(first->get().isOk());
+        EXPECT_TRUE(second->get().isOk());
+    }
 }
 
 TEST(ShardedServer, TrySubmitLoadShedIsAllOrNothingAcrossShards)
@@ -409,21 +537,28 @@ TEST(ShardedServer, SubmitAfterShutdownResolvesUnavailable)
 {
     Ast a = tinyProgram(1);
     Ast b = tinyProgram(2);
-    ShardedServer server(
-        tinyOptions(), ShardedServer::Options().withNumShards(2));
-    server.shutdown();
-    server.shutdown(); // idempotent
+    for (std::size_t shards : {1u, 2u}) {
+        ShardedServer server(
+            tinyOptions(),
+            ShardedServer::Options().withNumShards(shards));
+        server.shutdown();
+        server.shutdown(); // idempotent
 
-    auto blocking = server.submitCompare(a, b).get();
-    ASSERT_FALSE(blocking.isOk());
-    EXPECT_EQ(blocking.status().code(), StatusCode::Unavailable);
+        auto blocking = server.submitCompare(a, b).get();
+        ASSERT_FALSE(blocking.isOk());
+        EXPECT_EQ(blocking.status().code(), StatusCode::Unavailable);
 
-    auto attempted = server.trySubmitCompare(a, b);
-    ASSERT_TRUE(attempted.has_value());
-    auto tried = attempted->get();
-    ASSERT_FALSE(tried.isOk());
-    EXPECT_EQ(tried.status().code(), StatusCode::Unavailable);
-    EXPECT_GE(server.stats().aggregate.requestsRejected, 2u);
+        // trySubmit distinguishes teardown (future with Unavailable)
+        // from backpressure (nullopt).
+        auto attempted = server.trySubmitCompare(a, b);
+        ASSERT_TRUE(attempted.has_value());
+        auto tried = attempted->get();
+        ASSERT_FALSE(tried.isOk());
+        EXPECT_EQ(tried.status().code(), StatusCode::Unavailable);
+        EXPECT_EQ(server.stats().aggregate.requestsRejectedShutdown,
+                  2u);
+        EXPECT_EQ(server.stats().aggregate.requestsRejected, 2u);
+    }
 }
 
 TEST(ShardedServer, TrySubmitOfSplitRequestAfterShutdownResolves)
@@ -464,8 +599,8 @@ TEST(ShardedServer, TrySubmitOfSplitRequestAfterShutdownResolves)
     auto blocked = server.submitCompareMany(crossShard).get();
     ASSERT_FALSE(blocked.isOk());
     EXPECT_EQ(blocked.status().code(), StatusCode::Unavailable);
-    // Matching AsyncServer, a refused request counts as rejected
-    // ONLY — completed/failed/rejected stay disjoint outcomes.
+    // A refused request counts as rejected ONLY —
+    // completed/failed/rejected stay disjoint outcomes.
     EXPECT_EQ(server.stats().aggregate.requestsRejected, 2u);
     EXPECT_EQ(server.stats().aggregate.requestsFailed, 0u);
     EXPECT_EQ(server.stats().aggregate.requestsCompleted, 0u);
@@ -474,28 +609,62 @@ TEST(ShardedServer, TrySubmitOfSplitRequestAfterShutdownResolves)
 TEST(ShardedServer, MalformedRequestsFailOnlyTheirOwnFuture)
 {
     Ast a = tinyProgram(1);
-    ShardedServer server(
-        tinyOptions(), ShardedServer::Options().withNumShards(2));
-
-    auto nullPair = server
-                        .submitCompareMany(
-                            {Engine::PairRequest{&a, nullptr}})
-                        .get();
-    ASSERT_FALSE(nullPair.isOk());
-    EXPECT_EQ(nullPair.status().code(), StatusCode::InvalidArgument);
-
-    auto degenerate = server.submitRank({&a}).get();
-    ASSERT_FALSE(degenerate.isOk());
-    EXPECT_EQ(degenerate.status().code(),
-              StatusCode::InvalidArgument);
-
-    auto empty = server.submitCompareMany({}).get();
-    ASSERT_TRUE(empty.isOk());
-    EXPECT_TRUE(empty.value().empty());
-
     Ast b = tinyProgram(2);
-    EXPECT_TRUE(server.submitCompare(a, b).get().isOk());
-    EXPECT_EQ(server.stats().aggregate.requestsFailed, 2u);
+    for (std::size_t shards : {1u, 2u}) {
+        ShardedServer server(
+            tinyOptions(),
+            ShardedServer::Options().withNumShards(shards));
+
+        auto nullPair = server
+                            .submitCompareMany(
+                                {Engine::PairRequest{&a, nullptr}})
+                            .get();
+        ASSERT_FALSE(nullPair.isOk());
+        EXPECT_EQ(nullPair.status().code(),
+                  StatusCode::InvalidArgument);
+
+        auto degenerate = server.submitRank({&a}).get();
+        ASSERT_FALSE(degenerate.isOk());
+        EXPECT_EQ(degenerate.status().code(),
+                  StatusCode::InvalidArgument);
+
+        auto empty = server.submitCompareMany({}).get();
+        ASSERT_TRUE(empty.isOk());
+        EXPECT_TRUE(empty.value().empty());
+
+        // The server keeps serving after rejecting malformed
+        // requests.
+        EXPECT_TRUE(server.submitCompare(a, b).get().isOk());
+        EXPECT_EQ(server.stats().aggregate.requestsFailed, 2u);
+    }
+}
+
+TEST(ShardedServer, StatsExposeEngineCacheCountersAndLatency)
+{
+    Ast a = tinyProgram(2);
+    Ast b = tinyProgram(4);
+    for (std::size_t shards : {1u, 4u}) {
+        ShardedServer server(
+            tinyOptions(),
+            ShardedServer::Options().withNumShards(shards));
+
+        // Same pair repeatedly: the first batch encodes, later ones
+        // hit the shared cache whichever worker serves them.
+        for (int round = 0; round < 3; ++round)
+            ASSERT_TRUE(server.submitCompare(a, b).get().isOk());
+
+        ServerStats stats = server.stats().aggregate;
+        EXPECT_EQ(stats.engine.treesEncoded, 2u) << "shards=" << shards;
+        EXPECT_GE(stats.engine.cacheHits, 2u);
+        EXPECT_GE(stats.engine.cacheMisses, 2u);
+        EXPECT_EQ(stats.engine.cacheSize, 2u);
+        EXPECT_EQ(stats.engine.pairsServed, 3u);
+
+        EXPECT_GE(stats.latencyP50Ms, 0.0);
+        EXPECT_GE(stats.latencyP99Ms, stats.latencyP50Ms);
+        EXPECT_GE(stats.latencyMaxMs, stats.latencyP99Ms);
+        EXPECT_GT(stats.latencyMaxMs, 0.0);
+    }
 }
 
 TEST(ShardedServer, StatsAggregateIsExactlyTheShardRowsMerged)

@@ -5,10 +5,12 @@ Reads the JSON written by
 
     serve_throughput --json BENCH_serve.json
 
-and fails (exit 1) on either of two regressions:
+and fails (exit 1) on any of five regressions:
 
-1. ShardedServer losing its edge over the single-batcher AsyncServer
-   under interactive (depth-1 closed-loop) clients. The acceptance
+1. ShardedServer losing its edge over the single-batcher baseline
+   (a one-shard ShardedServer at the same per-partition cache
+   budget, row mode "single_closed") under interactive (depth-1
+   closed-loop) clients. The acceptance
    bar from ISSUE 4 is sharded >= 1.5x the single-batcher aggregate
    pairs/sec at 4 shards; the win there is mostly structural (a
    4-way partitioned cache holds 4x the latents at the same
@@ -16,8 +18,10 @@ and fails (exit 1) on either of two regressions:
    collapses), which is why a throughput ratio makes a workable CI
    gate: a regression in the cache partitioning, the split/join
    path, or the worker loop shows up as the encode storm returning,
-   not as scheduler noise. A 1-shard sanity floor guards against
-   ShardedServer simply being slower plumbing than AsyncServer.
+   not as scheduler noise. A 1-shard sanity floor guards against the
+   sharded worker path (one single-threaded engine per shard) being
+   grossly slower plumbing than the single batcher, whose one engine
+   encodes on every core.
 
 2. ModelRegistry overhead (ISSUE 5): the same single-model batched
    workload through a registry-backed Engine must stay >= 0.95x the
@@ -26,15 +30,16 @@ and fails (exit 1) on either of two regressions:
    the resolution (or the namespaced cache keys) leaked real work
    into the hot path.
 
-3. Noisy-neighbor isolation (ISSUE 6): the interactive tenant's p99
-   latency with a quota-capped bulk flood running must stay <= 3x
-   its flood-free p99. The token bucket sheds the flood at submit
-   time and the two-lane batcher flushes the interactive lane on its
-   own deadline, so a broken quota or a batch lane leaking into the
-   interactive flush shows up here as a p99 blow-up.
+3. Noisy-neighbor isolation: the interactive tenant's
+   client-observed p99 latency with a quota-capped bulk flood
+   running must stay <= 3x its flood-free p99. The token bucket
+   sheds the flood at submit time and the two-lane batcher flushes
+   the interactive lane on its own deadline, so a broken quota or a
+   batch lane leaking into the interactive flush shows up here as a
+   p99 blow-up.
 
 4. Metrics-plane overhead (ISSUE 7): the same interactive workload
-   through a fully instrumented AsyncServer (MetricsRegistry +
+   through a fully instrumented one-shard server (MetricsRegistry +
    per-request latency histograms + SLO tracking + a background
    sampler) must stay >= 0.97x the bare server. Recording is relaxed
    atomic adds outside the server's stats mutex, so a lower ratio
@@ -79,7 +84,7 @@ REGISTRY_FLOOR = 0.95
 # helper applies unchanged.
 NOISY_NEIGHBOR_FLOOR = 1.0 / 3.0
 
-# Instrumented vs bare AsyncServer throughput (ISSUE 7).
+# Instrumented vs bare one-shard server throughput.
 METRICS_FLOOR = 0.97
 
 # ProcessShardedServer vs in-process ShardedServer at the same shard
@@ -103,7 +108,7 @@ def main() -> int:
     metrics_on = None
     ipc = None
     for row in data.get("rows", []):
-        if row.get("mode") == "async_closed":
+        if row.get("mode") == "single_closed":
             baseline = row
         elif row.get("mode") == "sharded":
             sharded[int(row.get("shards", 0))] = row
@@ -124,7 +129,7 @@ def main() -> int:
             metrics_on = row
 
     if baseline is None or baseline.get("pairs_per_sec", 0) <= 0:
-        print("missing async_closed baseline row")
+        print("missing single_closed baseline row")
         return 1
 
     base_rate = baseline["pairs_per_sec"]
