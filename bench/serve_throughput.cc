@@ -7,7 +7,7 @@
  *  2. the same clients submitting through futures to a one-shard
  *     ShardedServer — cross-request dynamic batching by a single
  *     batcher;
- *  3. the same clients on ShardedServer at 1/2/4/8 shards — N
+ *  3. the same clients on ShardedServer at 2/4/8 shards — N
  *     batcher workers over a partitioned encoding cache.
  *
  * A fourth measurement gates the ModelRegistry refactor: the SAME
@@ -23,6 +23,16 @@
  * serving must stay >= 0.97x bare — recording is relaxed atomics
  * outside the server's stats mutex, so a lower ratio means metrics
  * work leaked into a serial section.
+ *
+ * A sixth gates the request path itself: one closed-loop client
+ * through a one-shard, one-thread ShardedServer vs the same stream
+ * straight into a one-thread Engine::compareMany. Both sides run
+ * identical engine calls, so the ratio is the front end's overhead
+ * (queue, worker wakeup, futures, accounting).
+ *
+ * Every row counts the pairs answered with an error ("failed");
+ * they are left out of pairs_per_sec, and the run stops at once if
+ * the ccsa_worker binary the ipc row needs is missing.
  *
  * The workload models a busy ranking service under cache pressure:
  * requests draw pairs from a tree pool larger than any single
@@ -54,6 +64,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "base/rng.hh"
 #include "base/str.hh"
@@ -115,14 +127,13 @@ servingOptions()
  * on every core (servingOptions().threads), at the same
  * per-partition cache budget as the sharded rows. */
 ShardedServer::Options
-singleBatcherOptions(std::chrono::microseconds maxBatchDelay)
+singleBatcherOptions()
 {
     return ShardedServer::Options()
         .withNumShards(1)
         .withThreadsPerShard(servingOptions().threads)
         .withQueueCapacity(1024)
-        .withMaxBatchSize(256)
-        .withMaxBatchDelay(maxBatchDelay);
+        .withMaxBatchSize(256);
 }
 
 struct WorkItem
@@ -159,7 +170,10 @@ secondsSince(std::chrono::steady_clock::time_point start)
 /** Client-observed outcome of one measured run. */
 struct RunStats
 {
+    /** Pairs answered successfully per second of wall time. */
     double pairsPerSec = 0.0;
+    /** Pairs answered with an error (excluded from pairsPerSec). */
+    std::uint64_t failed = 0;
     /** Per-request (per-call) latency quantiles, ms. */
     double p50Ms = 0.0;
     double p99Ms = 0.0;
@@ -172,25 +186,35 @@ struct RunStats
  * reports its median-throughput repetition. */
 constexpr int kReps = 5;
 
-/** The median-throughput run (its latency and encodes ride along). */
+/** The median-throughput run (its latency and encodes ride along);
+ * its failure count is the total over every repetition. */
 RunStats
 medianRun(std::vector<RunStats> runs)
 {
+    std::uint64_t failed = 0;
+    for (const RunStats& r : runs)
+        failed += r.failed;
     std::sort(runs.begin(), runs.end(),
               [](const RunStats& a, const RunStats& b) {
                   return a.pairsPerSec < b.pairsPerSec;
               });
-    return runs[runs.size() / 2];
+    RunStats median = runs[runs.size() / 2];
+    median.failed = failed;
+    return median;
 }
 
-/** Throughput plus nearest-rank p50/p99 of every client's latency
- * samples (microseconds). */
+/** Throughput of the `pairs` sent less the `failed` ones, plus
+ * nearest-rank p50/p99 of every client's latency samples
+ * (microseconds). */
 RunStats
-summarize(double requests, std::chrono::steady_clock::time_point start,
+summarize(double pairs, std::uint64_t failed,
+          std::chrono::steady_clock::time_point start,
           const std::vector<std::vector<double>>& latencyUs)
 {
     RunStats out;
-    out.pairsPerSec = requests / secondsSince(start);
+    out.pairsPerSec =
+        (pairs - static_cast<double>(failed)) / secondsSince(start);
+    out.failed = failed;
     std::vector<double> all;
     for (const auto& samples : latencyUs)
         all.insert(all.end(), samples.begin(), samples.end());
@@ -221,6 +245,7 @@ microsSince(std::chrono::steady_clock::time_point start)
 struct BenchRow
 {
     std::string mode; // sync|async|single_closed|sharded|ipc|
+                      // frontend_engine|frontend_server|
                       // engine_direct|engine_registry|
                       // tenant_solo|tenant_flood|
                       // metrics_off|metrics_on
@@ -241,6 +266,7 @@ runPipelinedClients(int clients,
 {
     std::vector<std::vector<double>> latencyUs(
         static_cast<std::size_t>(clients));
+    std::atomic<std::uint64_t> failed{0};
     auto start = std::chrono::steady_clock::now();
     std::vector<std::thread> threads;
     for (int c = 0; c < clients; ++c) {
@@ -260,9 +286,11 @@ runPipelinedClients(int clients,
             for (std::size_t k = 0; k < futures.size(); ++k) {
                 Result<double> r = futures[k].get();
                 samples.push_back(microsSince(sent[k]));
-                if (!r.isOk())
+                if (!r.isOk()) {
+                    ++failed;
                     std::fprintf(stderr, "client: %s\n",
                                  r.status().toString().c_str());
+                }
             }
         });
     }
@@ -270,7 +298,7 @@ runPipelinedClients(int clients,
         t.join();
     return summarize(static_cast<double>(clients) *
                          static_cast<double>(streams[0].size()),
-                     start, latencyUs);
+                     failed.load(), start, latencyUs);
 }
 
 /** Drive an interactive client fleet: one outstanding request per
@@ -286,6 +314,7 @@ runClosedLoopClients(int clients,
 {
     std::vector<std::vector<double>> latencyUs(
         static_cast<std::size_t>(clients));
+    std::atomic<std::uint64_t> failed{0};
     auto start = std::chrono::steady_clock::now();
     std::vector<std::thread> threads;
     for (int c = 0; c < clients; ++c) {
@@ -297,9 +326,11 @@ runClosedLoopClients(int clients,
                 auto r = call(pool[static_cast<std::size_t>(w.first)],
                               pool[static_cast<std::size_t>(w.second)]);
                 samples.push_back(microsSince(sent));
-                if (!r.isOk())
+                if (!r.isOk()) {
+                    ++failed;
                     std::fprintf(stderr, "client: %s\n",
                                  r.status().toString().c_str());
+                }
             }
         });
     }
@@ -307,7 +338,7 @@ runClosedLoopClients(int clients,
         t.join();
     return summarize(static_cast<double>(clients) *
                          static_cast<double>(streams[0].size()),
-                     start, latencyUs);
+                     failed.load(), start, latencyUs);
 }
 
 /** Blocking call through a server's submitCompare. */
@@ -346,10 +377,12 @@ writeJson(const std::string& path, int poolSize,
         std::fprintf(f,
                      "    {\"mode\": \"%s\", \"clients\": %d, "
                      "\"shards\": %d, \"pairs_per_sec\": %.1f, "
+                     "\"failed\": %llu, "
                      "\"trees_encoded\": %llu, \"p50_ms\": %.3f, "
                      "\"p99_ms\": %.3f}%s\n",
                      r.mode.c_str(), r.clients, r.shards,
                      r.run.pairsPerSec,
+                     static_cast<unsigned long long>(r.run.failed),
                      static_cast<unsigned long long>(
                          r.run.treesEncoded),
                      r.run.p50Ms, r.run.p99Ms,
@@ -369,6 +402,16 @@ main(int argc, char** argv)
     for (int a = 1; a + 1 < argc; ++a)
         if (std::string(argv[a]) == "--json")
             jsonPath = argv[a + 1];
+
+    // The ipc row needs the worker binary; without it every request
+    // fails and the row would measure nothing.
+    const std::string worker = ProcessShardedServer::defaultWorkerPath();
+    if (::access(worker.c_str(), X_OK) != 0) {
+        std::fprintf(stderr, "serve_throughput: ccsa_worker not found "
+                             "at %s\n",
+                     worker.c_str());
+        return 1;
+    }
 
     std::printf("=====================================================\n");
     std::printf("ccsa bench: serve_throughput\n");
@@ -427,9 +470,8 @@ main(int argc, char** argv)
         std::uint64_t batches = 0;
         double meanBatch = 0.0;
         {
-            ShardedServer server(
-                servingOptions(),
-                singleBatcherOptions(std::chrono::microseconds(1000)));
+            ShardedServer server(servingOptions(),
+                                 singleBatcherOptions());
             async = runPipelinedClients(
                 clients, streams, pool,
                 [&server](const Ast& a, const Ast& b) {
@@ -481,9 +523,7 @@ main(int argc, char** argv)
 
     std::vector<RunStats> singleRuns;
     for (int r = 0; r < kReps; ++r) {
-        ShardedServer server(
-            servingOptions(),
-            singleBatcherOptions(std::chrono::microseconds(200)));
+        ShardedServer server(servingOptions(), singleBatcherOptions());
         singleRuns.push_back(runClosedLoopClients(
             gateClients, streams, pool, compareVia(server)));
         singleRuns.back().treesEncoded =
@@ -501,7 +541,7 @@ main(int argc, char** argv)
     TextTable shardTable({"shards", "pairs/s", "vs 1 batcher",
                           "encodes", "cache resident", "p50 ms",
                           "p99 ms"});
-    for (int shards : {1, 2, 4, 8}) {
+    for (int shards : {2, 4, 8}) {
         std::vector<RunStats> runs;
         std::string resident;
         for (int r = 0; r < kReps; ++r) {
@@ -511,7 +551,6 @@ main(int argc, char** argv)
                     .withNumShards(static_cast<std::size_t>(shards))
                     .withQueueCapacity(1024)
                     .withMaxBatchSize(256)
-                    .withMaxBatchDelay(std::chrono::microseconds(200))
                     .withThreadsPerShard(1));
             runs.push_back(runClosedLoopClients(
                 gateClients, streams, pool, compareVia(server)));
@@ -543,6 +582,60 @@ main(int argc, char** argv)
                 "storm the small single caches suffer above fades"
                 " as shards are added.\n");
 
+    // ------------- front-end overhead: one-thread server vs engine
+    // One closed-loop client replays every gate client's stream,
+    // four times over (about half a second a side, so host noise
+    // averages out), through a one-shard, one-thread ShardedServer
+    // and through a one-thread Engine::compareMany. With one request
+    // outstanding every batch is one pair, so both sides run the
+    // same sequence of engine calls against the same 12-entry cache
+    // (equal trees_encoded) and the ratio is the price of the
+    // request path alone: admission, queue, worker wakeup, future
+    // fan-out and accounting (gated by tools/check_bench_serve.py).
+    {
+        std::vector<std::vector<WorkItem>> replay(1);
+        for (int pass = 0; pass < 4; ++pass)
+            for (const auto& stream : streams)
+                replay[0].insert(replay[0].end(), stream.begin(),
+                                 stream.end());
+        std::vector<RunStats> engineRuns, serverRuns;
+        for (int r = 0; r < kReps; ++r) {
+            {
+                Engine engine(servingOptions().withThreads(1));
+                engineRuns.push_back(runClosedLoopClients(
+                    1, replay, pool,
+                    [&engine](const Ast& a, const Ast& b) {
+                        return engine.compareMany(
+                            {Engine::PairRequest{&a, &b}});
+                    }));
+                engineRuns.back().treesEncoded =
+                    engine.stats().treesEncoded;
+            }
+            ShardedServer server(servingOptions(),
+                                 ShardedServer::Options()
+                                     .withNumShards(1)
+                                     .withThreadsPerShard(1));
+            serverRuns.push_back(runClosedLoopClients(
+                1, replay, pool, compareVia(server)));
+            serverRuns.back().treesEncoded =
+                server.stats().aggregate.engine.treesEncoded;
+        }
+        RunStats direct = medianRun(engineRuns);
+        RunStats served = medianRun(serverRuns);
+        rows.push_back(BenchRow{"frontend_engine", 1, 0, direct});
+        rows.push_back(BenchRow{"frontend_server", 1, 1, served});
+        std::printf(
+            "\nfront-end overhead (1 closed-loop client, one engine"
+            " thread):\n  Engine::compareMany %10.0f pairs/s  p50 %.3f"
+            " ms  %llu encodes\n  one-shard server    %10.0f pairs/s"
+            "  p50 %.3f ms  %llu encodes  (%.3fx, CI floor 0.65x)\n",
+            direct.pairsPerSec, direct.p50Ms,
+            static_cast<unsigned long long>(direct.treesEncoded),
+            served.pairsPerSec, served.p50Ms,
+            static_cast<unsigned long long>(served.treesEncoded),
+            served.pairsPerSec / direct.pairsPerSec);
+    }
+
     // -------------- process isolation: crash-isolated worker fleet
     // The same interactive workload on ProcessShardedServer at 4
     // shards: every request now pays tree serialization (cold trees
@@ -573,8 +666,6 @@ main(int argc, char** argv)
                                static_cast<std::size_t>(ipcShards))
                            .withQueueCapacity(1024)
                            .withMaxBatchSize(256)
-                           .withMaxBatchDelay(
-                               std::chrono::microseconds(200))
                            .withCachePerWorker(
                                static_cast<std::size_t>(poolSize)));
             runs.push_back(runClosedLoopClients(
@@ -608,6 +699,7 @@ main(int argc, char** argv)
             clientStream(99, registryRounds * batchPairs, poolSize);
         auto runBatches = [&](Engine& engine) {
             std::vector<std::vector<double>> latencyUs(1);
+            std::uint64_t failed = 0;
             auto start = std::chrono::steady_clock::now();
             std::size_t cursor = 0;
             for (int r = 0; r < registryRounds; ++r) {
@@ -622,13 +714,15 @@ main(int argc, char** argv)
                 auto sent = std::chrono::steady_clock::now();
                 auto probs = engine.compareMany(request);
                 latencyUs[0].push_back(microsSince(sent));
-                if (!probs.isOk())
+                if (!probs.isOk()) {
+                    failed += batchPairs;
                     std::fprintf(stderr, "registry bench: %s\n",
                                  probs.status().toString().c_str());
+                }
             }
             return summarize(static_cast<double>(registryRounds) *
                                  static_cast<double>(batchPairs),
-                             start, latencyUs);
+                             failed, start, latencyUs);
         };
 
         auto model = std::make_shared<ComparativePredictor>(
@@ -663,8 +757,8 @@ main(int argc, char** argv)
     // interactive closed-loop fleet; "bulk" floods quota-capped
     // batch-class compareMany traffic from a free-running thread.
     // The token bucket sheds the flood at submit time and the
-    // two-lane batcher flushes the interactive lane on its own
-    // deadline, so the fg clients' p99 under flood must stay within
+    // two-lane batcher flushes interactive work as soon as the queue
+    // runs dry, so the fg clients' p99 under flood must stay within
     // 3x of the flood-free run (gated by tools/check_bench_serve.py).
     {
         const int fgClients = 4;
@@ -681,8 +775,7 @@ main(int argc, char** argv)
                 "bulk", AdmissionController::Quota{500.0, 32.0});
             ShardedServer server(
                 servingOptions(),
-                singleBatcherOptions(std::chrono::microseconds(200))
-                    .withAdmission(&admission));
+                singleBatcherOptions().withAdmission(&admission));
             std::atomic<bool> stop{false};
             std::thread flooder;
             if (flood)
@@ -780,8 +873,7 @@ main(int argc, char** argv)
             MetricsSampler sampler(
                 metrics, MetricsSampler::Options().withPeriod(
                              std::chrono::milliseconds(100)));
-            ShardedServer::Options opts =
-                singleBatcherOptions(std::chrono::microseconds(200));
+            ShardedServer::Options opts = singleBatcherOptions();
             if (instrumented)
                 opts = opts.withMetrics(&metrics).withSlo(&slo);
             ShardedServer server(

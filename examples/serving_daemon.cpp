@@ -120,7 +120,6 @@ runIpcMode(const std::string& faultSpec,
                    .withNumShards(2)
                    .withQueueCapacity(512)
                    .withMaxBatchSize(128)
-                   .withMaxBatchDelay(std::chrono::microseconds(800))
                    .withMetrics(&metrics)
                    .withFault(faultSpec, /*shard=*/0));
 
@@ -244,10 +243,11 @@ main(int argc, char** argv)
     std::printf("=== ccsa serving daemon ===\n\n");
 
     // 1. One shard: one engine behind one batcher. Tuning knobs:
-    //    maxBatchSize bounds per-tick work, maxBatchDelay bounds
-    //    added latency, queueCapacity bounds memory (backpressure
-    //    beyond it); threadsPerShard(0) lets the one engine encode
-    //    on every core.
+    //    maxBatchSize bounds per-tick work, queueCapacity bounds
+    //    memory (backpressure beyond it); threadsPerShard(0) lets
+    //    the one engine encode on every core. There is no delay
+    //    knob: the batcher flushes as soon as its queue runs dry,
+    //    so a batch is whatever arrived while the last one ran.
     ShardedServer server(
         Engine::Options()
             .withEmbedDim(24)
@@ -257,8 +257,7 @@ main(int argc, char** argv)
             .withNumShards(1)
             .withThreadsPerShard(0)
             .withQueueCapacity(512)
-            .withMaxBatchSize(128)
-            .withMaxBatchDelay(std::chrono::microseconds(800)));
+            .withMaxBatchSize(128));
 
     // 2. A library of candidate implementations clients ask about.
     std::vector<Ast> variants;
@@ -368,9 +367,7 @@ main(int argc, char** argv)
                           ShardedServer::Options()
                               .withNumShards(4)
                               .withQueueCapacity(512)
-                              .withMaxBatchSize(128)
-                              .withMaxBatchDelay(
-                                  std::chrono::microseconds(800)));
+                              .withMaxBatchSize(128));
     std::vector<std::thread> shardClients;
     for (int c = 0; c < kClients; ++c) {
         shardClients.emplace_back([&, c] {
@@ -441,9 +438,7 @@ main(int argc, char** argv)
                         ShardedServer::Options()
                             .withNumShards(2)
                             .withQueueCapacity(512)
-                            .withMaxBatchSize(128)
-                            .withMaxBatchDelay(
-                                std::chrono::microseconds(800)));
+                            .withMaxBatchSize(128));
     std::vector<std::thread> multiClients;
     for (int c = 0; c < kClients; ++c) {
         multiClients.emplace_back([&, c] {
@@ -563,7 +558,6 @@ main(int argc, char** argv)
             .withThreadsPerShard(0)
             .withQueueCapacity(512)
             .withMaxBatchSize(128)
-            .withMaxBatchDelay(std::chrono::microseconds(200))
             .withAdmission(&admission)
             .withTrace(&trace)
             .withMetrics(&metrics)
@@ -691,7 +685,6 @@ main(int argc, char** argv)
             .withThreadsPerShard(0)
             .withQueueCapacity(512)
             .withMaxBatchSize(64)
-            .withMaxBatchDelay(std::chrono::microseconds(100))
             .withMetrics(&metrics)
             .withSlo(&slo)
             .withMetricsWindow(demoWindow));
@@ -793,8 +786,8 @@ main(int argc, char** argv)
                     "with tools/check_metrics.py)\n",
                     metricsPath.c_str());
 
-    std::printf("\ndone. Tune maxBatchDelay down for latency, up "
-                "for throughput;\nshard when one batcher saturates;"
+    std::printf("\ndone. Batches grow with load on their own;"
+                "\nshard when one batcher saturates;"
                 " register models when one service must\nserve many"
                 " problem families; quota tenants that crowd the"
                 " queue; scrape\nthe MetricsRegistry and alert on"

@@ -3,20 +3,28 @@
  * The pop-and-coalesce machinery every batcher shares: each
  * ShardedServer worker thread and each ProcessShardedServer shard
  * dispatcher. Exactly one implementation exists of the subtle part
- * — how long a batcher waits for more work before executing. The
- * wait is PRIORITY-AWARE: a Coalescer keeps a two-lane pending set
- * inside the tick, and the flush policy treats the lanes
- * differently:
+ * — when a batcher stops collecting and executes. The policy is
+ * IDLE-FLUSH with a priority-aware batch lane: after the first pop
+ * the Coalescer sweeps whatever is already queued (up to
+ * maxBatchSize pairs) into a two-lane pending set, then
  *
  *  - pairCount reaching maxBatchSize flushes everything — a full
  *    batch is a full batch, whoever filled it;
- *  - the oldest INTERACTIVE member reaching its interactiveDelay
- *    budget (queue time counts against it) flushes the interactive
- *    lane EARLY, leaving batch-class members pending so the engine
- *    call answering latency-sensitive work stays small;
- *  - batch-class members flush when the oldest of them exhausts the
- *    larger batchDelay budget (or on queue close/drain) — batch
- *    traffic rides full batches instead of fragmenting them.
+ *  - any INTERACTIVE member pending flushes at once: the
+ *    interactive members go, and batch-class members ride along
+ *    only if the oldest of them has exhausted its batchDelay budget
+ *    (queue time counts against it), so the engine call answering
+ *    latency-sensitive work stays small;
+ *  - a pending set of batch-class members only is held until the
+ *    oldest exhausts batchDelay, more work arrives, or the queue
+ *    closes — batch traffic rides full batches instead of
+ *    fragmenting them.
+ *
+ * There is no interactive timer. Under light load a request is
+ * answered as soon as the queue runs dry; under load each batch is
+ * what arrived while the previous one ran, so batch size follows
+ * load with no setting (the adaptive batching of Clipper, Crankshaw
+ * et al., NSDI 2017).
  *
  * Determinism contract: lane assignment and flush timing change only
  * WHICH requests share an engine call, never a result — every pair's
@@ -183,24 +191,15 @@ class Coalescer
 {
   public:
     /**
-     * @param interactiveDelay flush budget of the interactive lane
-     *   (the servers' Options::maxBatchDelay);
      * @param batchDelay flush budget of the batch lane
-     *   (Options::maxBatchClassDelay): <= 0 means 8 x interactiveDelay,
-     *   and anything shorter than interactiveDelay is clamped up to
-     *   it so batch traffic never flushes EARLIER than interactive
-     *   traffic.
+     *   (Options::maxBatchClassDelay): how long the oldest batch-class
+     *   member may wait, queue time included, for company.
      */
     Coalescer(BoundedQueue<Request>& queue, std::size_t maxBatchSize,
-              std::chrono::microseconds interactiveDelay,
               std::chrono::microseconds batchDelay)
         : queue_(queue),
           maxBatchSize_(maxBatchSize == 0 ? 1 : maxBatchSize),
-          interactiveDelay_(interactiveDelay),
-          batchDelay_(batchDelay.count() <= 0 ? interactiveDelay * 8
-                      : batchDelay < interactiveDelay
-                          ? interactiveDelay
-                          : batchDelay)
+          batchDelay_(batchDelay)
     {
     }
 
@@ -212,52 +211,44 @@ class Coalescer
     std::optional<CoalescedBatch<Request>>
     next()
     {
+        if (pending_.empty()) {
+            std::optional<Request> first = queue_.pop();
+            if (!first)
+                return std::nullopt; // closed & fully drained
+            admit(std::move(*first));
+        }
         for (;;) {
-            if (pending_.empty()) {
-                std::optional<Request> first = queue_.pop();
-                if (!first)
-                    return std::nullopt; // closed & fully drained
-                admit(std::move(*first));
+            // Sweep up whatever is already queued: free coalescing
+            // under backlog, no wait when the queue is dry.
+            while (pendingPairs_ < maxBatchSize_) {
+                std::optional<Request> more = queue_.tryPop();
+                if (!more)
+                    break;
+                admit(std::move(*more));
             }
-            for (;;) {
-                if (pendingPairs_ >= maxBatchSize_)
-                    return flushAll();
-                auto now = Clock::now();
-                Clock::time_point deadline = earliestDeadline();
-                if (now >= deadline) {
-                    // Budget spent: still sweep up anything already
-                    // queued — free coalescing under backlog — then
-                    // flush whichever lane(s) came due.
-                    while (pendingPairs_ < maxBatchSize_) {
-                        std::optional<Request> more = queue_.tryPop();
-                        if (!more)
-                            break;
-                        admit(std::move(*more));
-                    }
-                    if (pendingPairs_ >= maxBatchSize_)
-                        return flushAll();
-                    CoalescedBatch<Request> due =
-                        flushDue(Clock::now());
-                    if (!due.requests.empty())
-                        return due;
-                    continue; // clock jitter: nothing was actually due
-                }
-                std::optional<Request> next = queue_.popFor(
-                    std::chrono::duration_cast<
-                        std::chrono::microseconds>(deadline - now));
-                if (next) {
-                    admit(std::move(*next));
-                    continue;
-                }
-                if (queue_.closed()) {
-                    // Drained for good: nothing else will ever
-                    // arrive, so holding the batch lane back buys
-                    // nothing — answer everything accepted.
-                    return flushAll();
-                }
-                // Timed out: the next loop iteration classifies the
-                // now-expired deadline and flushes.
+            if (pendingPairs_ >= maxBatchSize_)
+                return flushAll();
+            auto now = Clock::now();
+            if (hasInteractive())
+                return flushInteractive(now);
+            // Batch lane only: wait for its budget or more work.
+            Clock::time_point deadline = oldestBatchDeadline();
+            if (now >= deadline)
+                return flushAll();
+            std::optional<Request> next = queue_.popFor(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    deadline - now));
+            if (next) {
+                admit(std::move(*next));
+                continue;
             }
+            if (queue_.closed()) {
+                // Drained for good: nothing else will ever arrive,
+                // so holding the batch lane back buys nothing —
+                // answer everything accepted.
+                return flushAll();
+            }
+            // Timed out: the next pass finds the budget spent.
         }
     }
 
@@ -267,26 +258,26 @@ class Coalescer
   private:
     using Clock = std::chrono::steady_clock;
 
-    Clock::time_point
-    deadlineOf(const Request& r) const
+    bool
+    hasInteractive() const
     {
-        return r.enqueued +
-            (r.priority == Priority::kBatch ? batchDelay_
-                                            : interactiveDelay_);
+        for (const Request& r : pending_)
+            if (r.priority != Priority::kBatch)
+                return true;
+        return false;
     }
 
-    /** Earliest member deadline. Pending holds at most
-     * maxBatchSize requests (every queued request carries >= 1
-     * pair), so the scan is cheap and bounded. */
+    /** When the oldest pending batch-class member's budget runs
+     * out. Pending holds at most maxBatchSize requests (every queued
+     * request carries >= 1 pair), so the scan is cheap and bounded. */
     Clock::time_point
-    earliestDeadline() const
+    oldestBatchDeadline() const
     {
         Clock::time_point earliest = Clock::time_point::max();
-        for (const Request& r : pending_) {
-            Clock::time_point d = deadlineOf(r);
-            if (d < earliest)
-                earliest = d;
-        }
+        for (const Request& r : pending_)
+            if (r.priority == Priority::kBatch &&
+                r.enqueued + batchDelay_ < earliest)
+                earliest = r.enqueued + batchDelay_;
         return earliest;
     }
 
@@ -309,25 +300,14 @@ class Coalescer
         return batch;
     }
 
-    /** Flush the lane(s) whose budget expired by `now`: an expired
-     * batch lane takes everything with it, while an expired
-     * interactive lane alone leaves batch-class members pending so
-     * the latency-sensitive engine call stays small. */
+    /** Flush the interactive lane; batch-class members go with it
+     * only once the oldest of them has spent its budget, otherwise
+     * they stay pending so the latency-sensitive call stays small. */
     CoalescedBatch<Request>
-    flushDue(Clock::time_point now)
+    flushInteractive(Clock::time_point now)
     {
-        bool haveBatch = false;
-        bool batchDue = false;
-        for (const Request& r : pending_) {
-            if (r.priority != Priority::kBatch)
-                continue;
-            haveBatch = true;
-            if (deadlineOf(r) <= now)
-                batchDue = true;
-        }
-        if (!haveBatch || batchDue)
+        if (oldestBatchDeadline() <= now)
             return flushAll();
-
         CoalescedBatch<Request> batch;
         std::vector<Request> held;
         for (Request& r : pending_) {
@@ -340,15 +320,11 @@ class Coalescer
         }
         pending_ = std::move(held);
         pendingPairs_ -= batch.pairCount;
-        // Nothing interactive was actually due (clock jitter): the
-        // caller still gets a valid (possibly empty) batch; an empty
-        // one simply loops back into next()'s accumulate phase.
         return batch;
     }
 
     BoundedQueue<Request>& queue_;
     std::size_t maxBatchSize_;
-    std::chrono::microseconds interactiveDelay_;
     std::chrono::microseconds batchDelay_;
     std::vector<Request> pending_;
     std::size_t pendingPairs_ = 0;

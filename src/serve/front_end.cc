@@ -27,6 +27,23 @@ ShardCounters::record(const ServeBatch& batch,
     }
 }
 
+WindowedHistogram&
+ShardCounters::latencyHistogram(MetricsRegistry& registry,
+                                const std::string& server,
+                                const ServeRequest& r,
+                                const WindowedHistogram::Options& window)
+{
+    std::string key = r.version->name;
+    key += '\0';
+    key += r.tenant;
+    key += static_cast<char>(r.priority);
+    WindowedHistogram*& slot = latencyHistograms_[key];
+    if (slot == nullptr)
+        slot = &serverLatencyHistogram(registry, server, r.version->name,
+                                       r.tenant, r.priority, window);
+    return *slot;
+}
+
 ServerStats
 ShardCounters::row() const
 {
@@ -430,9 +447,9 @@ FrontEnd::recordBatch(ShardCounters& shard, const ServeBatch& batch)
     for (const ServeRequest& r : batch.requests) {
         std::size_t us = latencySampleUs(completedAt - r.enqueued);
         if (metrics_.enabled())
-            serverLatencyHistogram(*cfg_.metrics, cfg_.metricsLabel,
-                                   r.version->name, r.tenant,
-                                   r.priority, cfg_.metricsWindow)
+            shard
+                .latencyHistogram(*cfg_.metrics, cfg_.metricsLabel, r,
+                                  cfg_.metricsWindow)
                 .add(us, completedAt);
         if (cfg_.slo != nullptr)
             cfg_.slo->record(r.version->name, r.tenant, us,

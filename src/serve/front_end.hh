@@ -114,7 +114,17 @@ class ShardCounters
      * filled) and latency-only tenant rows sorted by name. */
     ServerStats row() const;
 
+    /** The ccsa_request_latency_us instrument of `r`'s label set.
+     * The registry lookup (label rendering under the registry mutex)
+     * runs once per label set; later requests hit this cache. Only
+     * the executor that owns these counters may call it. */
+    WindowedHistogram& latencyHistogram(
+        MetricsRegistry& registry, const std::string& server,
+        const ServeRequest& r, const WindowedHistogram::Options& window);
+
   private:
+    std::unordered_map<std::string, WindowedHistogram*>
+        latencyHistograms_;
     mutable std::mutex mutex_;
     std::uint64_t batches_ = 0;
     std::uint64_t pairsServed_ = 0;

@@ -33,8 +33,6 @@ normalized(ProcessShardedServer::Options opts)
         opts.numShards = 1;
     if (opts.maxBatchSize == 0)
         opts.maxBatchSize = 1;
-    if (opts.maxBatchDelay.count() < 0)
-        opts.maxBatchDelay = std::chrono::microseconds(0);
     if (opts.threadsPerWorker < 1)
         opts.threadsPerWorker = 1;
     if (opts.cachePerWorker == 0)
@@ -46,10 +44,10 @@ normalized(ProcessShardedServer::Options opts)
     return opts;
 }
 
-/** $CCSA_WORKER, else ccsa_worker next to the running binary (the
- * build tree layout), else bare "ccsa_worker" ($PATH). */
+} // namespace
+
 std::string
-defaultWorkerBinary()
+ProcessShardedServer::defaultWorkerPath()
 {
     const char* env = std::getenv("CCSA_WORKER");
     if (env != nullptr && env[0] != '\0')
@@ -65,8 +63,6 @@ defaultWorkerBinary()
     }
     return "ccsa_worker";
 }
-
-} // namespace
 
 ProcessShardedServer::ProcessShardedServer(
     std::shared_ptr<ComparativePredictor> model, Options opts)
@@ -182,7 +178,7 @@ const std::string&
 ProcessShardedServer::workerBinary()
 {
     if (workerBinary_.empty()) {
-        workerBinary_ = opts_.workerPath.empty() ? defaultWorkerBinary()
+        workerBinary_ = opts_.workerPath.empty() ? defaultWorkerPath()
                                                  : opts_.workerPath;
     }
     return workerBinary_;
@@ -309,7 +305,6 @@ ProcessShardedServer::dispatcherLoop(std::size_t s)
 {
     Shard& shard = *shards_[s];
     Coalescer<ServeRequest> coalescer(*shard.queue, opts_.maxBatchSize,
-                                      opts_.maxBatchDelay,
                                       opts_.maxBatchClassDelay);
     for (;;) {
         std::optional<ServeBatch> batch = coalescer.next();

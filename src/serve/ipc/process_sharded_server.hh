@@ -23,6 +23,11 @@
  *    process), so each shard has its own request queue + dispatcher
  *    instead of one work-stealing queue, and there is no
  *    all-or-nothing trySubmit across those queues.
+ *  - Each dispatcher coalesces with the shared idle-flush policy of
+ *    serve/coalesce.hh: interactive work goes as soon as its shard
+ *    queue runs dry, so a batch is whatever queued up while the
+ *    previous one was on the wire; batch-lane work alone waits up to
+ *    maxBatchClassDelay for company.
  *  - Each dispatcher serves a coalesced batch in two phases: an
  *    ENCODE RPC (idempotent — latents are a pure function of the
  *    trees — so it is retried on a freshly respawned worker, up to
@@ -142,10 +147,9 @@ class ProcessShardedServer
         std::size_t queueCapacity = 1024;
         /** Flush a dispatcher batch at this many pairs. */
         std::size_t maxBatchSize = 256;
-        /** Interactive-lane flush budget (serve/coalesce.hh). */
-        std::chrono::microseconds maxBatchDelay{500};
-        /** Batch-lane flush budget; 0 = 8 x maxBatchDelay. */
-        std::chrono::microseconds maxBatchClassDelay{0};
+        /** Batch-lane flush budget (serve/coalesce.hh); interactive
+         * work flushes once the shard queue runs dry. */
+        std::chrono::microseconds maxBatchClassDelay{4000};
         /** Optional per-tenant admission gate (not owned). */
         AdmissionController* admission = nullptr;
         /** Optional metrics plane (not owned; {server="ipc"}). */
@@ -213,12 +217,6 @@ class ProcessShardedServer
         Options& withMaxBatchSize(std::size_t n)
         {
             maxBatchSize = n == 0 ? 1 : n;
-            return *this;
-        }
-
-        Options& withMaxBatchDelay(std::chrono::microseconds d)
-        {
-            maxBatchDelay = d;
             return *this;
         }
 
@@ -374,6 +372,11 @@ class ProcessShardedServer
     /** The checkpoint path workers load (tests reuse it to build a
      * bitwise-identical local Engine). */
     const std::string& checkpointPath() const { return checkpoint_; }
+
+    /** The worker binary an empty Options::workerPath resolves to:
+     * $CCSA_WORKER, else ccsa_worker next to the running binary (the
+     * build tree layout), else bare "ccsa_worker" ($PATH). */
+    static std::string defaultWorkerPath();
 
   private:
     /** Outcome of one RPC round-trip. */

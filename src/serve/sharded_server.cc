@@ -19,8 +19,6 @@ normalized(ShardedServer::Options opts)
         opts.numShards = 1;
     if (opts.maxBatchSize == 0)
         opts.maxBatchSize = 1;
-    if (opts.maxBatchDelay.count() < 0)
-        opts.maxBatchDelay = std::chrono::microseconds(0);
     return opts;
 }
 
@@ -209,7 +207,6 @@ ShardedServer::workerLoop(std::size_t shard)
 {
     Worker& worker = *workers_[shard];
     Coalescer<ServeRequest> coalescer(queue_, opts_.maxBatchSize,
-                                      opts_.maxBatchDelay,
                                       opts_.maxBatchClassDelay);
     for (;;) {
         // Two-lane pop-and-coalesce (serve/coalesce.hh); nullopt

@@ -12,9 +12,10 @@
  *    load balance: an idle worker takes whatever is next), each
  *    running the serve/coalesce.hh two-lane coalescing loop against
  *    its own Engine, so up to N batches are in flight at once. A
- *    worker flushes its batch when it holds maxBatchSize pairs or its
- *    oldest member waited maxBatchDelay, then fans results back to
- *    each caller's promise.
+ *    worker flushes its batch when it holds maxBatchSize pairs or,
+ *    with interactive work pending, as soon as the queue runs dry
+ *    (batch-lane work alone waits up to maxBatchClassDelay), then
+ *    fans results back to each caller's promise.
  *  - All N engines share one ShardedEncodingCache: the key space is
  *    partitioned by AST structural digest (digest % numShards), each
  *    partition is an independently-locked LRU, so a tree's latent
@@ -118,15 +119,12 @@ class ShardedServer
         std::size_t queueCapacity = 1024;
         /** Flush a worker's batch once it holds this many pairs. */
         std::size_t maxBatchSize = 256;
-        /** Flush once the oldest INTERACTIVE member waited this
-         * long. */
-        std::chrono::microseconds maxBatchDelay{500};
         /** Flush budget of the BATCH priority lane (see
          * serve/coalesce.hh): batch-class members may be held past
          * an interactive flush until the oldest waited this long,
-         * so background traffic rides full batches. 0 = "8 x
-         * maxBatchDelay"; clamped up to maxBatchDelay. */
-        std::chrono::microseconds maxBatchClassDelay{0};
+         * so background traffic rides full batches. Interactive
+         * work has no timer: it flushes once the queue runs dry. */
+        std::chrono::microseconds maxBatchClassDelay{4000};
         /** Optional per-tenant admission gate shared by every submit
          * endpoint (not owned; must outlive the server). */
         AdmissionController* admission = nullptr;
@@ -171,12 +169,6 @@ class ShardedServer
         Options& withMaxBatchSize(std::size_t n)
         {
             maxBatchSize = n == 0 ? 1 : n;
-            return *this;
-        }
-
-        Options& withMaxBatchDelay(std::chrono::microseconds d)
-        {
-            maxBatchDelay = d;
             return *this;
         }
 

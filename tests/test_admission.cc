@@ -2,7 +2,7 @@
  * @file
  * Tests for the admission-control + tracing subsystems: the
  * per-tenant token-bucket AdmissionController (driven by a manual
- * clock — no sleeps), the two-lane deadline-aware Coalescer, the
+ * clock — no sleeps), the two-lane idle-flush Coalescer, the
  * TraceRecorder span sink and its chrome-trace export, and their
  * integration into ShardedServer (one shard and several). The pinned
  * contracts: quotas and priorities never change a result (futures
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <map>
 #include <set>
 #include <sstream>
@@ -192,14 +193,12 @@ TEST(Coalescer, ExpiredInteractiveFlushesAloneBatchLaneHeldOver)
     BoundedQueue<FakeRequest> queue(8);
     // Batch lane effectively never expires on its own here.
     Coalescer<FakeRequest> coalescer(queue, /*maxBatchSize=*/100,
-                                     /*interactiveDelay=*/
-                                     microseconds(1000),
                                      /*batchDelay=*/seconds(60));
     auto now = Clock::now();
     queue.push(fakeRequest(1, Priority::kBatch, now));
     queue.push(fakeRequest(2, Priority::kBatch, now));
-    // Already past its deadline: forces an immediate interactive
-    // flush once coalesced, without this test sleeping.
+    // A pending interactive member flushes as soon as the sweep
+    // finds the queue dry, however recent or old its stamp.
     queue.push(fakeRequest(3, Priority::kInteractive,
                            now - milliseconds(10)));
 
@@ -231,7 +230,6 @@ TEST(Coalescer, FullBatchFlushesBothLanesTogether)
 {
     BoundedQueue<FakeRequest> queue(8);
     Coalescer<FakeRequest> coalescer(queue, /*maxBatchSize=*/3,
-                                     microseconds(1000),
                                      seconds(60));
     auto now = Clock::now();
     queue.push(fakeRequest(1, Priority::kBatch, now));
@@ -253,7 +251,6 @@ TEST(Coalescer, ExpiredBatchLaneTakesEverythingWithIt)
 {
     BoundedQueue<FakeRequest> queue(8);
     Coalescer<FakeRequest> coalescer(queue, /*maxBatchSize=*/100,
-                                     microseconds(500),
                                      /*batchDelay=*/microseconds(600));
     auto now = Clock::now();
     // BOTH lanes already past their budgets: one flush serves all.
@@ -266,6 +263,92 @@ TEST(Coalescer, ExpiredBatchLaneTakesEverythingWithIt)
     ASSERT_TRUE(batch.has_value());
     EXPECT_EQ(batch->requests.size(), 2u);
     EXPECT_EQ(coalescer.pendingRequests(), 0u);
+}
+
+TEST(Coalescer, LoneInteractiveRequestFlushesAtOnce)
+{
+    BoundedQueue<FakeRequest> queue(8);
+    Coalescer<FakeRequest> coalescer(queue, /*maxBatchSize=*/100,
+                                     /*batchDelay=*/seconds(60));
+    // A fresh request into an empty queue: nothing else is coming,
+    // so the coalescer must not wait for company. The bound is loose
+    // enough for sanitizer builds; held like batch-lane work, the
+    // request would wait out the 60 s budget.
+    auto start = Clock::now();
+    queue.push(fakeRequest(1, Priority::kInteractive, start));
+    auto batch = coalescer.next();
+    EXPECT_LT(Clock::now() - start, seconds(5));
+    ASSERT_TRUE(batch.has_value());
+    ASSERT_EQ(batch->requests.size(), 1u);
+    EXPECT_EQ(batch->requests[0].id, 1);
+    EXPECT_EQ(coalescer.pendingRequests(), 0u);
+}
+
+TEST(Coalescer, MixedBacklogFlushesInteractiveInOneSweep)
+{
+    BoundedQueue<FakeRequest> queue(8);
+    Coalescer<FakeRequest> coalescer(queue, /*maxBatchSize=*/100,
+                                     /*batchDelay=*/seconds(60));
+    auto now = Clock::now();
+    queue.push(fakeRequest(1, Priority::kInteractive, now));
+    queue.push(fakeRequest(2, Priority::kBatch, now));
+    queue.push(fakeRequest(3, Priority::kInteractive, now, 2));
+    queue.push(fakeRequest(4, Priority::kBatch, now));
+    queue.push(fakeRequest(5, Priority::kInteractive, now));
+
+    // One sweep takes the whole backlog: every interactive member
+    // goes in this batch, the batch-class members stay held.
+    auto batch = coalescer.next();
+    ASSERT_TRUE(batch.has_value());
+    ASSERT_EQ(batch->requests.size(), 3u);
+    EXPECT_EQ(batch->requests[0].id, 1);
+    EXPECT_EQ(batch->requests[1].id, 3);
+    EXPECT_EQ(batch->requests[2].id, 5);
+    EXPECT_EQ(batch->pairCount, 4u);
+    EXPECT_EQ(coalescer.pendingRequests(), 2u);
+    EXPECT_EQ(queue.size(), 0u);
+
+    queue.close();
+    auto drained = coalescer.next();
+    ASSERT_TRUE(drained.has_value());
+    ASSERT_EQ(drained->requests.size(), 2u);
+    EXPECT_EQ(drained->requests[0].id, 2);
+    EXPECT_EQ(drained->requests[1].id, 4);
+    EXPECT_FALSE(coalescer.next().has_value());
+}
+
+TEST(Coalescer, BatchLaneAloneWaitsForBudgetOrClose)
+{
+    // Held until close(): the 60 s budget cannot run out first.
+    {
+        BoundedQueue<FakeRequest> queue(8);
+        Coalescer<FakeRequest> coalescer(queue, /*maxBatchSize=*/100,
+                                         /*batchDelay=*/seconds(60));
+        queue.push(fakeRequest(1, Priority::kBatch, Clock::now()));
+        queue.push(fakeRequest(2, Priority::kBatch, Clock::now()));
+        auto pending = std::async(std::launch::async,
+                                  [&] { return coalescer.next(); });
+        EXPECT_EQ(pending.wait_for(milliseconds(50)),
+                  std::future_status::timeout);
+        queue.close();
+        auto batch = pending.get();
+        ASSERT_TRUE(batch.has_value());
+        EXPECT_EQ(batch->requests.size(), 2u);
+        EXPECT_FALSE(coalescer.next().has_value());
+    }
+    // Held until the oldest member's budget runs out.
+    {
+        BoundedQueue<FakeRequest> queue(8);
+        Coalescer<FakeRequest> coalescer(queue, /*maxBatchSize=*/100,
+                                         /*batchDelay=*/milliseconds(20));
+        auto enqueued = Clock::now();
+        queue.push(fakeRequest(1, Priority::kBatch, enqueued));
+        auto batch = coalescer.next();
+        EXPECT_GE(Clock::now() - enqueued, milliseconds(20));
+        ASSERT_TRUE(batch.has_value());
+        EXPECT_EQ(batch->requests.size(), 1u);
+        EXPECT_EQ(coalescer.pendingRequests(), 0u);
+    }
 }
 
 // -------------------------------------------------- TraceRecorder
@@ -403,15 +486,14 @@ TEST(OneShardAdmission, DeadlineFlushServesInteractiveFirst)
 {
     // Deterministic schedule: stage everything while paused, then
     // start. The batch lane's budget (60 s) cannot expire within
-    // the test, so only the interactive deadline can trigger the
-    // first flush.
+    // the test, so only the pending interactive member can trigger
+    // the first flush.
     ShardedServer server(
         tinyOptions(),
         ShardedServer::Options()
             .withNumShards(1)
             .withStartPaused(true)
             .withMaxBatchSize(1000)
-            .withMaxBatchDelay(milliseconds(1))
             .withMaxBatchClassDelay(seconds(60)));
     Ast a = tinyProgram(1), b = tinyProgram(2);
 

@@ -606,7 +606,6 @@ TEST(ServingMetrics, OneShardServerFeedsTheRegistry)
     ShardedServer server(tinyOptions().withMetrics(&registry),
                          ShardedServer::Options()
                              .withNumShards(1)
-                             .withMaxBatchDelay(microseconds(50))
                              .withMetrics(&registry)
                              .withSlo(&slo));
     Ast a = tinyProgram(1);
@@ -667,7 +666,6 @@ TEST(ServingMetrics, ShardedServerFeedsTheRegistry)
     ShardedServer server(tinyOptions(),
                          ShardedServer::Options()
                              .withNumShards(2)
-                             .withMaxBatchDelay(microseconds(50))
                              .withMetrics(&registry));
     Ast a = tinyProgram(1);
     Ast b = tinyProgram(3);

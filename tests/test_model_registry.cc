@@ -630,8 +630,7 @@ TEST(ShardedServer, HotSwapStressEveryResponseMatchesOneVersion)
                          ShardedServer::Options()
                              .withNumShards(4)
                              .withQueueCapacity(128)
-                             .withMaxBatchSize(16)
-                             .withMaxBatchDelay(microseconds(200)));
+                             .withMaxBatchSize(16));
 
     std::thread writer([&] {
         for (int s = 0; s < kSwaps; ++s) {

@@ -185,9 +185,7 @@ TEST(ShardedServer, DeterministicMultiProducerStressMatchesSyncPath)
                              ShardedServer::Options()
                                  .withNumShards(shards)
                                  .withQueueCapacity(64)
-                                 .withMaxBatchSize(16)
-                                 .withMaxBatchDelay(
-                                     microseconds(200)));
+                                 .withMaxBatchSize(16));
         std::vector<std::thread> clients;
         std::vector<int> mismatches(kClients, 0);
         std::vector<int> failures(kClients, 0);
@@ -270,9 +268,7 @@ TEST(ShardedServer, ClosedLoopEightProducerStressIsBitwiseEqual)
                              ShardedServer::Options()
                                  .withNumShards(shards)
                                  .withQueueCapacity(64)
-                                 .withMaxBatchSize(32)
-                                 .withMaxBatchDelay(
-                                     microseconds(200)));
+                                 .withMaxBatchSize(32));
         std::vector<std::thread> clients;
         std::vector<int> mismatches(kClients, 0);
         std::vector<int> failures(kClients, 0);
@@ -327,8 +323,7 @@ TEST(ShardedServer, OneShardCoalescesStagedRequestsIntoOneBatch)
                          ShardedServer::Options()
                              .withNumShards(1)
                              .withStartPaused(true)
-                             .withMaxBatchSize(10)
-                             .withMaxBatchDelay(milliseconds(50)));
+                             .withMaxBatchSize(10));
     std::vector<std::future<Result<double>>> futures;
     for (int k = 0; k < 10; ++k)
         futures.push_back(server.submitCompare(a, b));
